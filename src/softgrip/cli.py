@@ -8,7 +8,8 @@ identical.
 
 Exit codes are a stable contract: 0 ok, 2 configuration or parse error,
 3 kinematic domain error, 4 empty result after cropping, 5 infeasible
-grasp, 6 no contact under --require-contact.
+grasp, 6 no contact under --require-contact.  Errors carry their code as
+``exit_code`` (see softgrip.errors).
 """
 
 from __future__ import annotations
@@ -23,22 +24,7 @@ from pathlib import Path
 
 from . import capacity as capacity_mod
 from . import geometry as geometry_mod
-from .errors import (
-    ConfigError,
-    DomainError,
-    EmptyCloudError,
-    FrameMismatchError,
-    InsufficientDataError,
-    InvalidPoseError,
-    InvalidRangeError,
-    InvariantViolationError,
-    MissingCapacityDataError,
-    ObjectTooLargeError,
-    ObjectTooSmallError,
-    OutOfRangeError,
-    ParseError,
-    SurfaceConflictError,
-)
+from .errors import ConfigError, ParseError, SoftgripError
 from .perception import (
     APPROACH_UNGRASPABLE,
     DEFAULT_WORKSPACE,
@@ -63,29 +49,11 @@ from .planning import (
 from .simulate import SlideConfig, simulate_slide, write_slide_trace_csv
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DOMAIN = 3
 EXIT_EMPTY = 4
 EXIT_INFEASIBLE = 5
 EXIT_NO_CONTACT = 6
 
 CONFIG_ENV_VAR = "SOFTGRIP_CONFIG"
-
-_CONFIG_EXIT_ERRORS = (
-    ConfigError,
-    ParseError,
-    InvalidPoseError,
-    FrameMismatchError,
-    InvariantViolationError,
-    MissingCapacityDataError,
-    InsufficientDataError,
-)
-_DOMAIN_EXIT_ERRORS = (DomainError, OutOfRangeError, InvalidRangeError)
-_INFEASIBLE_EXIT_ERRORS = (
-    ObjectTooLargeError,
-    ObjectTooSmallError,
-    SurfaceConflictError,
-)
 
 
 class RunConfig:
@@ -463,18 +431,9 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config)
         return args.func(args, cfg)
-    except _CONFIG_EXIT_ERRORS as exc:
+    except SoftgripError as exc:
         print(f"softgrip: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _DOMAIN_EXIT_ERRORS as exc:
-        print(f"softgrip: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except EmptyCloudError as exc:
-        print(f"softgrip: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except _INFEASIBLE_EXIT_ERRORS as exc:
-        print(f"softgrip: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return exc.exit_code
 
 
 def console_main() -> None:

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by all softgrip modules."""
+"""Exception hierarchy shared by all softgrip modules.
+
+Each class carries the command-line exit code it maps to: 2 configuration
+or parse error, 3 kinematic domain error, 4 empty result, 5 infeasible
+grasp.
+"""
 
 
 class SoftgripError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
 
 
 class ConfigError(SoftgripError):
@@ -13,13 +20,20 @@ class DomainError(SoftgripError):
     """The kinematic chain was evaluated outside its mathematical domain
     (e.g. base length exceeding twice the leg length)."""
 
+    exit_code = 3
+
 
 class OutOfRangeError(SoftgripError):
     """A requested target lies outside the achievable window."""
 
+    exit_code = 3
+
 
 class InvalidRangeError(SoftgripError):
-    """A trajectory request is degenerate (zero span or non-positive step)."""
+    """A trajectory request is degenerate (zero span, non-positive step or
+    non-finite bounds)."""
+
+    exit_code = 3
 
 
 class ParseError(SoftgripError):
@@ -47,6 +61,8 @@ class EmptyCloudError(SoftgripError):
     """An operation that needs points received none (possibly after cropping
     or trimming)."""
 
+    exit_code = 4
+
 
 class InvariantViolationError(SoftgripError):
     """Loaded data violates a model invariant (capacity table ordering,
@@ -61,15 +77,21 @@ class MissingCapacityDataError(SoftgripError):
 class ObjectTooLargeError(SoftgripError):
     """Object exceeds the gripper's aperture or the planner's class bounds."""
 
+    exit_code = 5
+
 
 class ObjectTooSmallError(SoftgripError):
     """Object is below the envelope planner's large-object class; route to
     the pinch planner."""
 
+    exit_code = 5
+
 
 class SurfaceConflictError(SoftgripError):
     """A pinch plan would require the fingertips to reach past the support
     surface."""
+
+    exit_code = 5
 
 
 class InsufficientDataError(SoftgripError):

@@ -6,9 +6,12 @@ with leg length l, so the fingertip rotation angle alpha and the fingertip
 coordinates follow in closed form.  All lengths are millimeters, all
 angles radians.  Motor angles are negative by convention (fully open
 -0.8 rad, fully closed -1.4 rad for the default geometry); the chain is
-even in theta, so the sign is a labeling choice.
+evaluated on |theta|, so it is even in theta bit for bit and the sign is a
+labeling choice.
 
-All functions are pure and safe to call concurrently.
+Every chain function takes a scalar or a numpy array of angles and is
+vectorized elementwise.  All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from importlib import resources
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -31,6 +36,8 @@ DEFAULT_STEP = 0.015  # rad, the standard actuation increment
 
 # How far past theta_closed the sliding regime may drive the motor.
 SLIDE_OVERTRAVEL = 0.5  # rad
+
+FloatOrArray = float | np.ndarray  # chain inputs and outputs, elementwise
 
 
 class OperatingRangeWarning(UserWarning):
@@ -69,30 +76,28 @@ class GripperGeometry:
                 f"need theta_closed < theta_open, got "
                 f"[{self.theta_closed}, {self.theta_open}]"
             )
-        # arccos domain of the fingertip angle must hold across the window;
-        # delta is monotone in theta there, so checking a dense sweep plus
-        # both endpoints is sufficient in practice.
-        for i in range(65):
-            th = self.theta_closed + (self.theta_open - self.theta_closed) * i / 64
-            delta = self.e - self.c - slider_coordinate(self, th)
-            if math.hypot(self.d, delta) > 2 * self.l:
-                raise ConfigError(
-                    f"base length exceeds 2*l at theta={th:.6f}; "
-                    "geometry incompatible with the isosceles finger model"
-                )
+        # The fingertip angle needs b <= 2*l wherever the motor may go.  delta
+        # is monotone in |theta| on [0, pi] and b = hypot(d, delta) is convex
+        # in delta, so b peaks at an end of the |theta| range: the two window
+        # ends, or theta = 0 when the window straddles it.
+        ends = np.array([self.slide_floor, self.theta_open,
+                         min(max(0.0, self.slide_floor), self.theta_open)])
+        b = base_length(self, slider_displacement(self, ends))
+        if np.any(b > 2 * self.l):
+            raise ConfigError(
+                f"base length exceeds 2*l at theta={ends[np.argmax(b)]:.6f}; "
+                "geometry incompatible with the isosceles finger model"
+            )
 
     @property
     def slide_floor(self) -> float:
         """Lowest motor angle the sliding regime is allowed to reach."""
         return self.theta_closed - SLIDE_OVERTRAVEL
 
-    def window_contains(self, theta: float) -> bool:
-        return self.theta_closed <= theta <= self.theta_open
 
-
-@dataclass(frozen=True)
-class FingerState:
-    """Full kinematic snapshot at one motor angle.
+class FingerState(NamedTuple):
+    """Full kinematic snapshot at one motor angle, or its columns over an
+    array of angles.
 
     x_left and x_right are the fingertip x coordinates in the gripper
     center frame; the mirror symmetry x_left == -x_right is exact by
@@ -128,8 +133,8 @@ class MotorTrajectory:
     def __post_init__(self):
         if not self.samples:
             raise InvalidRangeError("a trajectory needs at least one sample")
-        diffs = [b - a for a, b in zip(self.samples, self.samples[1:])]
-        if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        diffs = np.diff(self.samples)
+        if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise InvalidRangeError("trajectory samples must be strictly monotone")
 
     def __len__(self) -> int:
@@ -139,13 +144,17 @@ class MotorTrajectory:
         return iter(self.samples)
 
 
-def check_window(geom: GripperGeometry, theta: float, window: str = "warn") -> None:
-    """Soft/strict operating-window check: "warn" emits OperatingRangeWarning,
-    "strict" raises DomainError, "ignore" does nothing."""
-    if window == "ignore" or geom.window_contains(theta):
+def check_window(geom: GripperGeometry, theta: FloatOrArray, window: str = "warn") -> None:
+    """Soft/strict operating-window check of a scalar or array theta:
+    "warn" emits OperatingRangeWarning, "strict" raises DomainError,
+    "ignore" does nothing."""
+    if window == "ignore":
+        return
+    lo, hi = float(np.min(theta)), float(np.max(theta))
+    if geom.theta_closed <= lo and hi <= geom.theta_open:
         return
     msg = (
-        f"theta={theta:.6f} outside operating window "
+        f"theta={lo if lo < geom.theta_closed else hi:.6f} outside operating window "
         f"[{geom.theta_closed}, {geom.theta_open}]"
     )
     if window == "strict":
@@ -153,57 +162,59 @@ def check_window(geom: GripperGeometry, theta: float, window: str = "warn") -> N
     warnings.warn(msg, OperatingRangeWarning, stacklevel=3)
 
 
-def slider_coordinate(geom: GripperGeometry, theta: float) -> float:
+def slider_coordinate(geom: GripperGeometry, theta: FloatOrArray) -> FloatOrArray:
     """Slider coordinate y_b = r1*cos(theta) + sqrt(r2^2 - r1^2*sin^2(theta)).
 
-    Even in theta; the radicand is strictly positive whenever r2 > r1.
+    Evaluated on |theta|; the radicand is strictly positive whenever r2 > r1.
     """
-    s = geom.r1 * math.sin(theta)
-    return geom.r1 * math.cos(theta) + math.sqrt(geom.r2 ** 2 - s * s)
+    theta = np.abs(theta)
+    s = geom.r1 * np.sin(theta)
+    return geom.r1 * np.cos(theta) + np.sqrt(geom.r2 ** 2 - s * s)
 
 
-def slider_displacement(geom: GripperGeometry, theta: float) -> float:
+def slider_displacement(geom: GripperGeometry, theta: FloatOrArray) -> FloatOrArray:
     """Slider displacement delta = e - c - y_b(theta)."""
     return geom.e - geom.c - slider_coordinate(geom, theta)
 
 
-def base_length(geom: GripperGeometry, delta: float) -> float:
+def base_length(geom: GripperGeometry, delta: FloatOrArray) -> FloatOrArray:
     """Finger base length b = sqrt(d^2 + delta^2); always >= d."""
-    return math.hypot(geom.d, delta)
+    return np.hypot(geom.d, delta)
 
 
-def fingertip_angle(geom: GripperGeometry, delta: float, b: float) -> float:
+def fingertip_angle(geom: GripperGeometry, delta: FloatOrArray, b: FloatOrArray) -> FloatOrArray:
     """Fingertip rotation alpha = arcsin(delta/b) + arccos(b/(2*l)).
 
     Raises DomainError when b > 2*l (no isosceles triangle with leg l has
     that base) or b <= 0.
     """
-    if b <= 0:
-        raise DomainError(f"base length must be positive, got {b}")
+    if np.any(b <= 0):
+        raise DomainError(f"base length must be positive, got {np.min(b)}")
     ratio = b / (2 * geom.l)
-    if ratio > 1:
+    if np.any(ratio > 1):
         raise DomainError(
-            f"base length {b:.6f} exceeds 2*l = {2 * geom.l:.6f}; "
+            f"base length {np.max(b):.6f} exceeds 2*l = {2 * geom.l:.6f}; "
             "fingertip angle undefined"
         )
-    return math.asin(delta / b) + math.acos(ratio)
+    return np.arcsin(delta / b) + np.arccos(ratio)
 
 
-def fingertip_positions(geom: GripperGeometry, alpha: float) -> tuple[float, float, float]:
+def fingertip_positions(
+    geom: GripperGeometry, alpha: FloatOrArray
+) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
     """Fingertip coordinates (x_left, x_right, y_tip) in the center frame.
 
     x_left = l*cos(alpha) - delta_x and x_right is its exact mirror; both
     tips sit at y_tip = l*sin(alpha) + delta_y.
     """
-    reach = geom.l * math.cos(alpha)
-    x_left = reach - geom.delta_x
-    x_right = geom.delta_x - reach
-    y_tip = geom.l * math.sin(alpha) + geom.delta_y
-    return x_left, x_right, y_tip
+    reach = geom.l * np.cos(alpha)
+    return reach - geom.delta_x, geom.delta_x - reach, geom.l * np.sin(alpha) + geom.delta_y
 
 
-def forward_kinematics(geom: GripperGeometry, theta: float, window: str = "warn") -> FingerState:
-    """Evaluate the full chain at one motor angle.
+def forward_kinematics(
+    geom: GripperGeometry, theta: FloatOrArray, window: str = "warn"
+) -> FingerState:
+    """Evaluate the full chain at a motor angle or an array of them.
 
     window: "warn" (default) warns outside the declared operating window,
     "strict" raises DomainError there, "ignore" skips the check.  The
@@ -215,86 +226,77 @@ def forward_kinematics(geom: GripperGeometry, theta: float, window: str = "warn"
     delta = geom.e - geom.c - y_b
     b = base_length(geom, delta)
     alpha = fingertip_angle(geom, delta, b)
-    x_left, x_right, y_tip = fingertip_positions(geom, alpha)
-    return FingerState(
-        theta=theta, y_b=y_b, delta=delta, b=b, alpha=alpha,
-        x_left=x_left, x_right=x_right, y_tip=y_tip,
-    )
+    return FingerState(theta, y_b, delta, b, alpha, *fingertip_positions(geom, alpha))
 
 
-def aperture(geom: GripperGeometry, theta: float, window: str = "ignore") -> float:
-    """Fingertip aperture x_right - x_left at one motor angle (mm)."""
+def aperture(geom: GripperGeometry, theta: FloatOrArray, window: str = "ignore") -> FloatOrArray:
+    """Fingertip aperture x_right - x_left at a motor angle (mm)."""
     return forward_kinematics(geom, theta, window=window).aperture
 
 
 def aperture_window(geom: GripperGeometry) -> tuple[float, float]:
     """(aperture at theta_closed, aperture at theta_open)."""
-    return (
-        aperture(geom, geom.theta_closed),
-        aperture(geom, geom.theta_open),
-    )
+    return tuple(aperture(geom, np.array([geom.theta_closed, geom.theta_open])).tolist())
 
 
-def inverse_kinematics(
-    geom: GripperGeometry,
-    target_aperture: float,
-    tol_mm: float = 1e-6,
-    max_iter: int = 200,
-) -> float:
-    """Motor angle whose aperture matches the target, by bisection.
+def inverse_kinematics(geom: GripperGeometry, target_aperture: float) -> float:
+    """Motor angle whose aperture matches the target, in closed form.
 
-    The aperture is strictly monotone in theta across the operating window
-    (the slider coordinate is monotone there and the chain preserves it),
-    which guarantees convergence.  Raises OutOfRangeError when the target
-    lies outside the achievable [closed, open] aperture window.
+    The aperture fixes cos(alpha).  The sign of sin(alpha), the root of the
+    finger triangle (d - l*cos(alpha))^2 + (delta - l*sin(alpha))^2 = l^2
+    for the slider displacement delta, and the sign of theta are not fixed
+    by it; which ones the chain takes depends on the geometry.  All eight
+    branches are mapped back through the slider-crank, clamped to the
+    window, and the one whose aperture is nearest the target is returned.
+    Raises OutOfRangeError when the target lies outside the achievable
+    [closed, open] aperture window.
     """
-    lo, hi = geom.theta_closed, geom.theta_open
-    ap_lo, ap_hi = aperture(geom, lo), aperture(geom, hi)
-    if not (min(ap_lo, ap_hi) - tol_mm <= target_aperture <= max(ap_lo, ap_hi) + tol_mm):
+    ap_lo, ap_hi = sorted(aperture_window(geom))
+    if not ap_lo <= target_aperture <= ap_hi:
         raise OutOfRangeError(
             f"target aperture {target_aperture:.6f} mm outside achievable "
-            f"[{min(ap_lo, ap_hi):.6f}, {max(ap_lo, ap_hi):.6f}] mm"
+            f"[{ap_lo:.6f}, {ap_hi:.6f}] mm"
         )
-    increasing = ap_hi >= ap_lo
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        err = aperture(geom, mid) - target_aperture
-        if abs(err) <= tol_mm and (hi - lo) <= 1e-12:
-            return mid
-        if (err < 0) == increasing:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    pm = np.array([1.0, -1.0])
+    cos_alpha = (geom.delta_x - target_aperture / 2) / geom.l
+    sin_alpha = pm * math.sqrt(max(0.0, 1.0 - cos_alpha ** 2))
+    reach = math.sqrt(max(0.0, geom.l ** 2 - (geom.d - geom.l * cos_alpha) ** 2))
+    y_b = geom.e - geom.c - (geom.l * sin_alpha[:, None] + pm * reach).ravel()
+    cos_theta = (y_b ** 2 + geom.r1 ** 2 - geom.r2 ** 2) / (2 * y_b * geom.r1)
+    # Rounding can push the cosine just past +-1 (to 1 + 7e-16 at theta = 0).
+    theta = pm[:, None] * np.arccos(np.minimum(np.maximum(cos_theta, -1.0), 1.0))
+    theta = np.minimum(np.maximum(theta.ravel(), geom.theta_closed), geom.theta_open)
+    residual = np.abs(aperture(geom, theta) - target_aperture)
+    return float(theta[residual.argmin()])
 
 
-def fingertip_jacobian(geom: GripperGeometry, theta: float, window: str = "warn") -> tuple[float, float]:
+def fingertip_jacobian(
+    geom: GripperGeometry, theta: FloatOrArray, window: str = "warn"
+) -> tuple[FloatOrArray, FloatOrArray]:
     """Analytic (dx_left/dtheta, dy_tip/dtheta) in mm/rad.
 
-    Differentiates the chain; raises DomainError at the b -> 2*l
-    singularity where the fingertip angle's derivative blows up.
+    Differentiates the chain at |theta|; the chain is even, so the
+    derivative is sign(theta) times that.  Raises DomainError at the
+    b -> 2*l singularity where the fingertip angle's derivative blows up.
     """
     check_window(geom, theta, window)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    root = math.sqrt(geom.r2 ** 2 - (geom.r1 * sin_t) ** 2)
-    dy_b = -geom.r1 * sin_t - (geom.r1 ** 2 * sin_t * cos_t) / root
-    d_delta = -dy_b
+    sin_t, cos_t = np.sin(np.abs(theta)), np.cos(np.abs(theta))
+    root = np.sqrt(geom.r2 ** 2 - (geom.r1 * sin_t) ** 2)
+    d_delta = geom.r1 * sin_t + (geom.r1 ** 2 * sin_t * cos_t) / root
 
-    delta = geom.e - geom.c - slider_coordinate(geom, theta)
+    delta = slider_displacement(geom, theta)
     b = base_length(geom, delta)
     spread = 4 * geom.l ** 2 - b * b
-    if spread <= 0:
+    if np.any(spread <= 0):
         raise DomainError(
-            f"chain singular at theta={theta:.6f}: base length reaches 2*l"
+            f"chain singular at theta={np.extract(spread <= 0, theta)[0]:.6f}: "
+            "base length reaches 2*l"
         )
-    d_alpha = (geom.d / (b * b) - delta / (b * math.sqrt(spread))) * d_delta
+    d_alpha = (geom.d / (b * b) - delta / (b * np.sqrt(spread))) * d_delta
 
     alpha = fingertip_angle(geom, delta, b)
-    dx_left = -geom.l * math.sin(alpha) * d_alpha
-    dy_tip = geom.l * math.cos(alpha) * d_alpha
-    return dx_left, dy_tip
+    sign = np.sign(theta)
+    return sign * (-geom.l * np.sin(alpha) * d_alpha), sign * (geom.l * np.cos(alpha) * d_alpha)
 
 
 def sample_trajectory(
@@ -307,8 +309,13 @@ def sample_trajectory(
     """Inclusive monotone sampling from theta_from to theta_to.
 
     The final sample is clamped to theta_to exactly.  Raises
-    InvalidRangeError for a zero span or non-positive step.
+    InvalidRangeError for non-finite bounds or step, a zero span or a
+    non-positive step.
     """
+    if not all(map(math.isfinite, (theta_from, theta_to, step))):
+        raise InvalidRangeError(
+            f"bounds and step must be finite, got {theta_from}, {theta_to}, {step}"
+        )
     if step <= 0:
         raise InvalidRangeError(f"step must be positive, got {step}")
     span = theta_to - theta_from
@@ -319,7 +326,7 @@ def sample_trajectory(
 
     direction = 1.0 if span > 0 else -1.0
     n_full = int(math.floor(abs(span) / step + 1e-9))
-    samples = [theta_from + direction * step * i for i in range(n_full + 1)]
+    samples = (theta_from + direction * step * np.arange(n_full + 1)).tolist()
     if abs(samples[-1] - theta_to) <= 1e-12:
         samples[-1] = theta_to
     else:
@@ -332,8 +339,9 @@ def fk_trace(
     trajectory: MotorTrajectory,
     window: str = "ignore",
 ) -> tuple[FingerState, ...]:
-    """Forward kinematics along a trajectory."""
-    return tuple(forward_kinematics(geom, th, window=window) for th in trajectory)
+    """Forward kinematics along a trajectory, one FingerState per sample."""
+    columns = forward_kinematics(geom, np.asarray(trajectory.samples), window=window)
+    return tuple(map(FingerState, trajectory.samples, *(c.tolist() for c in columns[1:])))
 
 
 FK_TRACE_HEADER = "theta,y_b,delta,b,alpha,x_left,x_right,y_tip"
@@ -342,9 +350,7 @@ FK_TRACE_HEADER = "theta,y_b,delta,b,alpha,x_left,x_right,y_tip"
 def write_fk_trace_csv(states: Iterable[FingerState], stream: IO[str]) -> None:
     """Write finger states as CSV with the standard trace header."""
     stream.write(FK_TRACE_HEADER + "\n")
-    for st in states:
-        row = (st.theta, st.y_b, st.delta, st.b, st.alpha, st.x_left, st.x_right, st.y_tip)
-        stream.write(",".join(repr(v) for v in row) + "\n")
+    stream.writelines(",".join(map(float.__repr__, st)) + "\n" for st in states)
 
 
 _GEOMETRY_FIELDS = tuple(f.name for f in fields(GripperGeometry))

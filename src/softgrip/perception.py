@@ -17,6 +17,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyCloudError,
     FrameMismatchError,
     InvalidPoseError,
@@ -110,9 +111,9 @@ class RegionOfInterest:
         lo = tuple(float(v) for v in self.min_corner)
         hi = tuple(float(v) for v in self.max_corner)
         if len(lo) != 3 or len(hi) != 3:
-            raise ValueError("corners must have 3 components")
+            raise ConfigError("corners must have 3 components")
         if not all(a < b for a, b in zip(lo, hi)):
-            raise ValueError(f"need min < max per axis, got {lo} vs {hi}")
+            raise ConfigError(f"need min < max per axis, got {lo} vs {hi}")
         object.__setattr__(self, "min_corner", lo)
         object.__setattr__(self, "max_corner", hi)
 
@@ -316,7 +317,7 @@ def estimate_object(cloud: PointCloud, trim_fraction: float = 0.01) -> ObjectEst
     axis break deterministically X before Y before Z.
     """
     if not 0 <= trim_fraction < 0.5:
-        raise ValueError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
+        raise ConfigError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
     if cloud.is_empty:
         raise EmptyCloudError("cannot estimate an empty cloud")
 
@@ -356,7 +357,7 @@ class WorkspaceLimits:
         lo = tuple(float(v) for v in self.min_corner)
         hi = tuple(float(v) for v in self.max_corner)
         if not all(a < b for a, b in zip(lo, hi)):
-            raise ValueError(f"need min < max per axis, got {lo} vs {hi}")
+            raise ConfigError(f"need min < max per axis, got {lo} vs {hi}")
         object.__setattr__(self, "min_corner", lo)
         object.__setattr__(self, "max_corner", hi)
 

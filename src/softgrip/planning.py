@@ -15,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Optional
 
+import numpy as np
+
 from .capacity import CapacityModel
 from .errors import (
+    ConfigError,
     ObjectTooLargeError,
     ObjectTooSmallError,
     SurfaceConflictError,
@@ -101,7 +104,7 @@ def plan_envelope_grasp(
     object cannot fit inside the fully open fingers.
     """
     if not 0.0 <= residual_fraction <= 1.0:
-        raise ValueError(f"residual_fraction must be in [0, 1], got {residual_fraction}")
+        raise ConfigError(f"residual_fraction must be in [0, 1], got {residual_fraction}")
     diameter = object_diameter_mm(est)
     ap_closed, ap_open = aperture_window(geom)
     if diameter < large_object_threshold_mm - CLASS_TOLERANCE_MM:
@@ -134,17 +137,15 @@ def plan_envelope_grasp(
 
     keep = 1.0 - residual_fraction
     delta_start = slider_displacement(geom, theta_start)
-    compensation = tuple(
-        (th, keep * (delta_start - slider_displacement(geom, th))) for th in trajectory
-    )
+    shift = keep * (delta_start - slider_displacement(geom, np.asarray(trajectory.samples)))
     residual = residual_fraction * (
         slider_displacement(geom, target_theta) - delta_start
     )
     return GraspPlan(
         approach=APPROACH_HORIZONTAL,
         motor_trajectory=trajectory,
-        arm_compensation=compensation,
-        residual_uncompensated=residual,
+        arm_compensation=tuple(zip(trajectory.samples, shift.tolist())),
+        residual_uncompensated=float(residual),
         target_theta=target_theta,
         warnings=tuple(plan_warnings),
     )
@@ -193,14 +194,11 @@ def plan_pinch_grasp(
         )
 
     trajectory = sample_trajectory(geom, theta_start, geom.theta_closed, step, window="ignore")
-    compensation = tuple(
-        (th, tip_start - forward_kinematics(geom, th, window="ignore").y_tip)
-        for th in trajectory
-    )
+    tips = forward_kinematics(geom, np.asarray(trajectory.samples), window="ignore").y_tip
     return GraspPlan(
         approach=APPROACH_VERTICAL,
         motor_trajectory=trajectory,
-        arm_compensation=compensation,
+        arm_compensation=tuple(zip(trajectory.samples, (tip_start - tips).tolist())),
         residual_uncompensated=0.0,
         target_theta=geom.theta_closed,
         warnings=(),
@@ -248,8 +246,8 @@ def validate_plan(
     approaches only (it is not observed vertically).  Raises
     MissingCapacityDataError when the table has no covering entries.
     """
-    if mass_kg < 0:
-        raise ValueError(f"mass must be non-negative, got {mass_kg}")
+    if not mass_kg >= 0:
+        raise ConfigError(f"mass must be non-negative, got {mass_kg}")
     diameter = object_diameter_mm(est)
     limit = capacity.payload_limit(diameter, plan.approach, hinged)
     margin = limit - mass_kg

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import IO, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ X_BIAS_CAP_MM = 10.0  # deviations beyond ~1 cm are outside the modeled regime
 PHASE_APPROACH = "approach"
 PHASE_SLIDING = "sliding"
 PHASE_CLOSED = "closed"
+PHASES = (PHASE_APPROACH, PHASE_SLIDING, PHASE_CLOSED)  # indexed by phase code
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,7 @@ class PerturbationModel:
         return cls(**raw)
 
 
-@dataclass(frozen=True)
-class FreeRecord:
+class FreeRecord(NamedTuple):
     """One free-motion sample: ideal chain vs perturbed mechanism."""
 
     theta: float
@@ -103,44 +103,31 @@ def simulate_free(
     theta_eff is dragged inside [theta - w, theta + w], so a sustained
     closing sweep rides theta + w, a sustained opening sweep rides
     theta - w, and a reversal freezes the mechanism for one full width of
-    command travel.  With an all-zero perturbation the simulated columns
-    equal the model columns bit for bit.
+    command travel.  A trajectory is monotone, so the operator reduces to
+    theta_eff = min(theta_0, theta + w) when closing and max(theta_0,
+    theta - w) when opening.  With an all-zero perturbation the simulated
+    columns equal the model columns bit for bit.
     """
     half_play = perturbation.backlash_width_rad / 2.0
-    rng = (
-        np.random.default_rng(perturbation.seed)
-        if perturbation.noise_sd_mm > 0
-        else None
-    )
+    theta = np.asarray(trajectory.samples)
+    if len(theta) > 1 and theta[1] < theta[0]:
+        theta_eff = np.minimum(theta[0], theta + half_play)
+    else:
+        theta_eff = np.maximum(theta[0], theta - half_play)
+    model = forward_kinematics(geom, theta, window="ignore")
+    state = forward_kinematics(geom, theta_eff, window="ignore")
+    x_sim = state.x_left - perturbation.x_bias_mm
+    y_sim = state.y_tip
     sd = perturbation.noise_sd_mm
-
-    records = []
-    theta_eff = trajectory.samples[0]
-    for theta in trajectory:
-        theta_eff = min(max(theta_eff, theta - half_play), theta + half_play)
-        model = forward_kinematics(geom, theta, window="ignore")
-        state = (
-            model
-            if theta_eff == theta
-            else forward_kinematics(geom, theta_eff, window="ignore")
-        )
-        x_sim = state.x_left - perturbation.x_bias_mm
-        y_sim = state.y_tip
-        if rng is not None:
-            nx, ny = rng.normal(0.0, sd, 2)
-            x_sim += float(np.clip(nx, -4 * sd, 4 * sd))
-            y_sim += float(np.clip(ny, -4 * sd, 4 * sd))
-        records.append(
-            FreeRecord(
-                theta=theta,
-                theta_eff=theta_eff,
-                x_left_model=model.x_left,
-                y_tip_model=model.y_tip,
-                x_left_sim=x_sim,
-                y_tip_sim=y_sim,
-            )
-        )
-    return FreeTrace(records=tuple(records))
+    if sd > 0:
+        rng = np.random.default_rng(perturbation.seed)
+        noise = np.clip(rng.normal(0.0, sd, (len(theta), 2)), -4 * sd, 4 * sd)
+        x_sim = x_sim + noise[:, 0]
+        y_sim = y_sim + noise[:, 1]
+    columns = (theta_eff, model.x_left, model.y_tip, x_sim, y_sim)
+    return FreeTrace(records=tuple(
+        map(FreeRecord, trajectory.samples, *(c.tolist() for c in columns))
+    ))
 
 
 @dataclass(frozen=True)
@@ -179,8 +166,7 @@ class SlideConfig:
         return cls(**raw)
 
 
-@dataclass(frozen=True)
-class SlideRecord:
+class SlideRecord(NamedTuple):
     theta: float
     y_free: float
     y_sim: float
@@ -229,59 +215,35 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
         )
 
     trajectory = sample_trajectory(geom, cfg.theta_from, cfg.theta_to, cfg.step, window="ignore")
-    surface = (
-        cfg.surface_y_mm
-        if cfg.surface_y_mm is not None
-        else forward_kinematics(geom, cfg.theta_to, window="ignore").y_tip
-    )
+    theta = np.asarray(trajectory.samples)
+    y_free = forward_kinematics(geom, theta, window="ignore").y_tip
+    # The last sample is theta_to exactly, so its tip height is the default surface.
+    surface = cfg.surface_y_mm if cfg.surface_y_mm is not None else float(y_free[-1])
+    y_sim = np.minimum(y_free, surface)
+    bend = y_free - y_sim
+    touching = bend > 0.0
 
-    records = []
-    contact_theta = None
-    closure_theta = None
-    peak_bend = 0.0
-    running_max = 0.0
-    flex_at_close = None
-    closed = False
-    last = len(trajectory) - 1
+    # Closed from the first zero bend after contact, else at the last sample.
+    contacted = np.logical_or.accumulate(touching)
+    released = np.flatnonzero(contacted & ~touching)
+    closure = int(released[0]) if len(released) else len(theta) - 1
 
-    for i, theta in enumerate(trajectory):
-        y_free = forward_kinematics(geom, theta, window="ignore").y_tip
-        y_sim = min(y_free, surface)
-        bend = y_free - y_sim
-        if bend > 0 and contact_theta is None:
-            contact_theta = theta
-        if bend > peak_bend:
-            peak_bend = bend
-        if bend > running_max:
-            running_max = bend
+    running_max = np.maximum.accumulate(bend)
+    running_max[closure:] = running_max[closure]
+    flex = cfg.flex_offset + cfg.flex_gain * running_max
+    phase = touching.astype(np.intp)
+    phase[closure:] = PHASES.index(PHASE_CLOSED)
 
-        if not closed and (i == last or (contact_theta is not None and bend == 0.0)):
-            closed = True
-            closure_theta = theta
-            flex_at_close = cfg.flex_offset + cfg.flex_gain * running_max
-
-        if closed:
-            phase = PHASE_CLOSED
-            flex = flex_at_close
-        elif bend > 0.0:
-            phase = PHASE_SLIDING
-            flex = cfg.flex_offset + cfg.flex_gain * running_max
-        else:
-            phase = PHASE_APPROACH
-            flex = cfg.flex_offset + cfg.flex_gain * running_max
-
-        records.append(
-            SlideRecord(theta=theta, y_free=y_free, y_sim=y_sim, bend=bend, flex=flex, phase=phase)
-        )
-
-    trace_warnings = () if contact_theta is not None else ("no_contact",)
+    columns = (y_free, y_sim, bend, flex)
+    records = map(SlideRecord, trajectory.samples, *(c.tolist() for c in columns),
+                  map(PHASES.__getitem__, phase.tolist()))
     return SlideTrace(
         records=tuple(records),
         surface_y_mm=surface,
-        contact_theta=contact_theta,
-        closure_theta=closure_theta,
-        peak_bend=peak_bend,
-        warnings=trace_warnings,
+        contact_theta=trajectory.samples[np.argmax(touching)] if contacted[-1] else None,
+        closure_theta=trajectory.samples[closure],
+        peak_bend=float(bend.max()),
+        warnings=() if contacted[-1] else ("no_contact",),
     )
 
 

@@ -311,3 +311,51 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["bogus"])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# invalid arguments exit with their documented code, not a traceback
+# ---------------------------------------------------------------------------
+
+def test_plan_negative_mass_exits_2(tmp_path):
+    est = write_estimate(tmp_path, (0.08, 0.08, 0.12))
+    assert run_cli("plan", "--estimate", est, "--mass", -1, "--out", tmp_path / "run") == 2
+
+
+def test_plan_residual_fraction_above_one_exits_2(tmp_path):
+    est = write_estimate(tmp_path, (0.08, 0.08, 0.12))
+    rc = run_cli("plan", "--estimate", est, "--mass", 0.1, "--residual-fraction", 2,
+                 "--out", tmp_path / "run")
+    assert rc == 2
+
+
+def _cylinder_manifest(tmp_path):
+    cloud = make_cylinder(diameter_m=0.08, height_m=0.12, n_points=500, seed=0,
+                          center=(0.0, 0.0, 0.06))
+    return write_manifest(tmp_path, [write_scene(tmp_path, cloud)])
+
+
+def test_estimate_trim_out_of_range_exits_2(tmp_path):
+    manifest = _cylinder_manifest(tmp_path)
+    rc = run_cli("estimate", "--manifest", manifest, "--trim", 0.7, "--out", tmp_path / "run")
+    assert rc == 2
+
+
+def test_estimate_degenerate_roi_exits_2(tmp_path):
+    manifest = _cylinder_manifest(tmp_path)
+    rc = run_cli("estimate", "--manifest", manifest, "--roi=0,0,0,0,0,0",
+                 "--out", tmp_path / "run")
+    assert rc == 2
+
+
+def test_fk_nan_step_exits_3(tmp_path):
+    rc = run_cli("fk", "--from", -0.8, "--to", -1.4, "--step", "nan", "--out", tmp_path / "run")
+    assert rc == 3
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-m", "softgrip", "fk", "--theta", "-0.8",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len((out / "fk_trace.csv").read_text().splitlines()) == 2

@@ -433,3 +433,46 @@ def test_geometry_invariants_enforced():
         geometry_from_dict(dict(r1=20.0, r2=60.0, e=400.0, c=0.0, d=30.0, l=150.0,
                                 delta_x=5.0, delta_y=10.0,
                                 theta_open=-0.8, theta_closed=-1.4))
+
+
+def test_geometry_rejects_legs_too_short_for_the_slide_overtravel(geom):
+    # Inside the operating window b stays below 2*400 mm, but at the
+    # slide floor (-1.9 rad) it reaches 835.4 mm.
+    import dataclasses
+
+    with pytest.raises(ConfigError):
+        dataclasses.replace(geom, l=400.0)
+
+
+def test_ik_at_a_window_end_on_zero(geom):
+    # At theta = 0 the slider-crank cosine rounds to just above 1 for this
+    # linkage; the solver must still return the window end.
+    import dataclasses
+
+    g = dataclasses.replace(geom, theta_open=0.0, theta_closed=-0.6)
+    theta = inverse_kinematics(g, aperture(g, 0.0))
+    assert g.theta_closed <= theta <= g.theta_open
+    assert abs(theta) <= 1e-6
+
+
+def test_geometry_check_covers_zero_inside_the_window():
+    # Both window ends are fine, but b peaks at theta = 0 inside the window.
+    with pytest.raises(ConfigError):
+        GripperGeometry(r1=120.0, r2=360.0, e=432.5, c=0.0, d=20.0, l=20.0,
+                        delta_x=0.0, delta_y=0.0, theta_open=0.8, theta_closed=-0.3)
+
+
+@pytest.mark.parametrize("overrides", [
+    # The finger triangle's '-' root for delta is the chain's branch over
+    # part of the window (e.g. at -1.0 rad), unlike the default linkage.
+    {},
+    # The fingertip angle is negative throughout (alpha ~ -0.5 rad).
+    dict(e=-90.0, c=0.0, d=5.0),
+    # A window of positive motor angles.
+    dict(theta_open=1.4, theta_closed=0.8),
+])
+def test_ik_roundtrip_on_the_small_linkage(overrides):
+    g = small_geometry(**overrides)
+    for th in np.linspace(g.theta_closed, g.theta_open, 61):
+        theta = inverse_kinematics(g, aperture(g, th))
+        assert theta == pytest.approx(th, abs=1e-9)
