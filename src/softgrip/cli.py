@@ -34,9 +34,9 @@ from .perception import (
     crop_cloud,
     decide_approach,
     estimate_object,
-    load_cloud,
     load_scene_manifest,
     merge_clouds,
+    parse_cloud,
     transform_cloud,
 )
 from .planning import (
@@ -98,16 +98,21 @@ class RunDir:
 
     def __init__(self, out_dir: str):
         self.path = Path(out_dir)
-        self.path.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
 
-    def record_input(self, path) -> None:
-        p = Path(path)
-        digest = hashlib.sha256(p.read_bytes()).hexdigest()
-        self.inputs[str(path)] = digest
+    def record_input(self, path) -> bytes:
+        """Read an input file, record its hash and return the bytes hashed."""
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        return data
 
     def write_text(self, name: str, text: str) -> Path:
+        """Write one artifact; the directory appears with the first of them."""
+        self.path.mkdir(parents=True, exist_ok=True)
         target = self.path / name
         target.write_text(text, encoding="utf-8")
         self.outputs.append(name)
@@ -168,8 +173,8 @@ def cmd_fk(args, cfg: RunConfig) -> int:
     if args.theta is not None:
         if args.theta_from is not None or args.theta_to is not None:
             raise ConfigError("use either --theta or --from/--to, not both")
-        geometry_mod.check_window(geom, args.theta, window)
         trajectory = geometry_mod.MotorTrajectory(samples=(args.theta,), step=args.step)
+        geometry_mod.check_window(geom, args.theta, window)
     else:
         if args.theta_from is None or args.theta_to is None:
             raise ConfigError("need --theta or both --from and --to")
@@ -216,8 +221,7 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
     global_clouds = []
     for i, (cloud_rel, pose) in enumerate(views):
         cloud_path = manifest_path.parent / cloud_rel
-        cloud = load_cloud(cloud_path)
-        run.record_input(cloud_path)
+        cloud = parse_cloud(run.record_input(cloud_path))
         stage_counts[f"view_{i}_parsed"] = len(cloud)
         global_clouds.append(transform_cloud(cloud, pose))
 

@@ -37,6 +37,11 @@ DEFAULT_STEP = 0.015  # rad, the standard actuation increment
 # How far past theta_closed the sliding regime may drive the motor.
 SLIDE_OVERTRAVEL = 0.5  # rad
 
+# Most full-step samples sample_trajectory produces for one sweep (the
+# clamped end may add one).  Checked before anything is allocated: 1e-6 rad
+# over the 1.1 rad slide range (1.1M samples) passes, 1e-7 (11M) does not.
+MAX_TRAJECTORY_SAMPLES = 10_000_000
+
 FloatOrArray = float | np.ndarray  # chain inputs and outputs, elementwise
 
 
@@ -124,7 +129,8 @@ class MotorTrajectory:
     """Strictly monotone sequence of motor angles with its nominal step.
 
     A single-sample trajectory is allowed (degenerate hold-in-place plan);
-    sample_trajectory itself always produces at least two samples.
+    sample_trajectory itself always produces at least two samples.  Every
+    sample must be finite.
     """
 
     samples: tuple[float, ...]
@@ -133,7 +139,10 @@ class MotorTrajectory:
     def __post_init__(self):
         if not self.samples:
             raise InvalidRangeError("a trajectory needs at least one sample")
-        diffs = np.diff(self.samples)
+        samples = np.asarray(self.samples, dtype=np.float64)
+        if not np.isfinite(samples).all():
+            raise InvalidRangeError("trajectory samples must be finite")
+        diffs = np.diff(samples)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise InvalidRangeError("trajectory samples must be strictly monotone")
 
@@ -309,8 +318,8 @@ def sample_trajectory(
     """Inclusive monotone sampling from theta_from to theta_to.
 
     The final sample is clamped to theta_to exactly.  Raises
-    InvalidRangeError for non-finite bounds or step, a zero span or a
-    non-positive step.
+    InvalidRangeError for non-finite bounds or step, a zero span, a
+    non-positive step or more than MAX_TRAJECTORY_SAMPLES full-step samples.
     """
     if not all(map(math.isfinite, (theta_from, theta_to, step))):
         raise InvalidRangeError(
@@ -321,11 +330,17 @@ def sample_trajectory(
     span = theta_to - theta_from
     if span == 0:
         raise InvalidRangeError("theta_from and theta_to are equal")
+    steps = abs(span) / step + 1e-9
+    if steps >= MAX_TRAJECTORY_SAMPLES:
+        raise InvalidRangeError(
+            f"step {step} over [{theta_from}, {theta_to}] needs more than "
+            f"{MAX_TRAJECTORY_SAMPLES} samples"
+        )
     check_window(geom, theta_from, window)
     check_window(geom, theta_to, window)
 
     direction = 1.0 if span > 0 else -1.0
-    n_full = int(math.floor(abs(span) / step + 1e-9))
+    n_full = int(math.floor(steps))
     samples = (theta_from + direction * step * np.arange(n_full + 1)).tolist()
     if abs(samples[-1] - theta_to) <= 1e-12:
         samples[-1] = theta_to

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -298,6 +299,16 @@ def test_run_manifest_records_input_hashes(tmp_path):
     assert "estimate.json" in recorded["outputs"]
 
 
+def test_run_manifest_hashes_are_the_input_file_digests(tmp_path):
+    cloud = make_cylinder(n_points=300, seed=3)
+    manifest = write_manifest(tmp_path, [write_scene(tmp_path, cloud)])
+    out = tmp_path / "run"
+    assert run_cli("estimate", "--manifest", manifest, "--out", out) == 0
+    recorded = json.loads((out / "run_manifest.json").read_text())["inputs"]
+    for path in (manifest, tmp_path / "view0.xyz"):
+        assert recorded[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_console_script_is_installed():
     exe = shutil.which("softgrip")
     if exe is None:
@@ -351,6 +362,31 @@ def test_estimate_degenerate_roi_exits_2(tmp_path):
 def test_fk_nan_step_exits_3(tmp_path):
     rc = run_cli("fk", "--from", -0.8, "--to", -1.4, "--step", "nan", "--out", tmp_path / "run")
     assert rc == 3
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_fk_non_finite_theta_exits_3(tmp_path, theta):
+    out = tmp_path / "run"
+    assert run_cli("fk", f"--theta={theta}", "--out", out) == 3
+    assert not out.exists()
+
+
+def test_simulate_slide_step_beyond_the_sample_cap_exits_3(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("simulate-slide", "--step", 1e-12, "--out", out) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make_cloud", [lambda path: None, lambda path: path.mkdir()],
+                         ids=["missing", "directory"])
+def test_estimate_unreadable_cloud_exits_2_and_names_it(tmp_path, capsys, make_cloud):
+    make_cloud(tmp_path / "view0.xyz")
+    identity = [float(v) for v in np.eye(4).ravel()]
+    manifest = write_manifest(tmp_path, [{"cloud": "view0.xyz", "transform": identity}])
+    out = tmp_path / "run"
+    assert run_cli("estimate", "--manifest", manifest, "--out", out) == 2
+    assert str(tmp_path / "view0.xyz") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

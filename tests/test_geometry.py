@@ -33,6 +33,7 @@ from softgrip import (
     slider_displacement,
     write_fk_trace_csv,
 )
+from softgrip import geometry as geometry_mod
 from softgrip.geometry import geometry_from_dict, load_geometry
 
 # Output of tools/fk_oracle.py for the shipped default geometry.
@@ -363,12 +364,32 @@ def test_sample_trajectory_degenerate_inputs(geom):
         sample_trajectory(geom, -0.8, -1.4, -0.015)
 
 
+def test_sample_trajectory_caps_the_sample_count(geom, monkeypatch):
+    with pytest.raises(InvalidRangeError, match="samples"):
+        sample_trajectory(geom, -0.8, -1.9, 1e-12, window="ignore")
+    with pytest.raises(InvalidRangeError, match="samples"):
+        sample_trajectory(geom, -0.8, -1.4, 5e-324)  # the step count overflows to inf
+    monkeypatch.setattr(geometry_mod, "MAX_TRAJECTORY_SAMPLES", 41)
+    assert len(sample_trajectory(geom, -0.8, -1.4, 0.015)) == 41
+    monkeypatch.setattr(geometry_mod, "MAX_TRAJECTORY_SAMPLES", 40)
+    with pytest.raises(InvalidRangeError, match="more than 40 samples"):
+        sample_trajectory(geom, -0.8, -1.4, 0.015)
+
+
 def test_motor_trajectory_monotonicity_enforced():
     with pytest.raises(InvalidRangeError):
         MotorTrajectory(samples=(-0.8, -0.9, -0.85))
     with pytest.raises(InvalidRangeError):
         MotorTrajectory(samples=())
     MotorTrajectory(samples=(-0.8,))
+
+
+@pytest.mark.parametrize(
+    "samples", [(math.nan,), (-math.inf,), (-0.8, math.nan), (-0.8, -math.inf)]
+)
+def test_motor_trajectory_rejects_non_finite_samples(samples):
+    with pytest.raises(InvalidRangeError, match="finite"):
+        MotorTrajectory(samples=samples)
 
 
 # ---------------------------------------------------------------------------

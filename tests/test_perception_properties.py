@@ -1,0 +1,185 @@
+"""Property-based checks of the fast point-cloud ingest.
+
+parse_cloud converts each view's records in one vectorised call and falls
+back to the per-line parser on any doubt.  The reference here is that
+per-line parser alone, reached by making the vectorised call fail: on
+every drawn file both must return the same array bit for bit, or raise the
+same ParseError at the same line and column.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from softgrip import ParseError, PointCloud, ScenePose, parse_cloud, transform_cloud
+from softgrip import perception
+
+# Decimal strings whose correct rounding is easy to get wrong.
+HARD_DECIMALS = [
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623157e308",
+    "9007199254740993", "0.1000000000000000055511151231257827021181583404541015625",
+    "123456789012345678901234567890e-20", "1e-400", "-1e-400", "-0", "0e0",
+    "0." + "3" * 400, "1" * 300,
+]
+
+# Tokens the per-line parser rejects, or that numpy might read differently.
+ODD_TOKENS = [
+    "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1_0", "1__0",
+    "0x10", "0x1p3", "+.5", "-.5e-3", "1.e3", "1d3", "1,5", "#", "#1", "1#", "١",
+    "１", "1\x002", "'1'", '"1"', "3j", "1e", "e1", ".", "+", "--1", "0b1",
+]
+
+SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", " ", "\x1f"]
+NEWLINES = ["\n", "\r\n", "\r", "\x0b", "\x85", " "]
+
+finite_repr = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+token = st.one_of(
+    finite_repr,
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(HARD_DECIMALS),
+    st.sampled_from(ODD_TOKENS),
+)
+
+
+@st.composite
+def record(draw, tokens=token):
+    n = draw(st.sampled_from([3, 3, 3, 3, 2, 4, 1]))
+    fields = draw(st.lists(tokens, min_size=n, max_size=n))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=n, max_size=n))
+    text = "".join(f + s for f, s in zip(fields, seps)).rstrip(" ")
+    if draw(st.integers(0, 9)) == 0:
+        text += draw(st.sampled_from([" # note", "#", " #1"]))
+    return draw(st.sampled_from(["", " ", "\t"])) + text
+
+
+filler = st.sampled_from(["", "   ", "# comment", "  # indented comment", "#"])
+
+
+@st.composite
+def record_lines(draw):
+    """Mostly clean rows, so the fast path is taken as well as left.
+
+    The clean rows of one file share a width, which is 3 most of the time;
+    a file may add odd rows: clean ones with an inline '#' or a non-finite
+    last field, or rows of drawn tokens.
+    """
+    width = draw(st.sampled_from([3, 3, 3, 2, 4]))
+    clean = st.lists(finite_repr, min_size=width, max_size=width).map(" ".join)
+    commented = st.tuples(clean, st.sampled_from([" # note", " #", "\t#1"])).map("".join)
+    non_finite = st.tuples(clean, st.sampled_from(["nan", "-inf", "Infinity", "1e400"])).map(
+        lambda row_token: row_token[0].rsplit(" ", 1)[0] + " " + row_token[1])
+    if draw(st.booleans()):
+        rows = st.one_of(clean, filler)
+    else:
+        rows = st.one_of(clean, clean, clean, commented, non_finite, record(), filler)
+    return draw(st.lists(rows, max_size=12))
+
+
+@st.composite
+def cloud_files(draw):
+    lines = draw(record_lines())
+    if draw(st.booleans()):
+        n = sum(1 for line in lines if line.strip() and not line.strip().startswith("#"))
+        points = n + draw(st.sampled_from([0, 0, 0, 1, -1]))
+        header = ["VERSION .7", "FIELDS x y z", "SIZE 8 8 8", "TYPE F F F", "COUNT 1 1 1",
+                  f"WIDTH {n}", "HEIGHT 1", "VIEWPOINT 0 0 0 1 0 0 0", f"POINTS {points}",
+                  "DATA ascii"]
+        lines = draw(st.sampled_from([[], ["# .PCD v0.7"]])) + header + lines
+    newline = draw(st.sampled_from(NEWLINES))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+def _outcome(data):
+    try:
+        cloud = parse_cloud(data)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("cloud", cloud.points.shape, cloud.points.tobytes(), cloud.frame_id)
+
+
+def per_line_outcome(data):
+    """parse_cloud with the vectorised conversion failing on every call."""
+    with mock.patch.object(perception.np, "loadtxt", side_effect=ValueError("disabled")):
+        return _outcome(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud_files())
+def test_fast_parse_matches_per_line_parser(data):
+    assert _outcome(data) == per_line_outcome(data)
+
+
+@pytest.mark.parametrize("text", HARD_DECIMALS)
+def test_fast_parse_rounds_like_float(text):
+    points = parse_cloud(f"{text} {text} 1\n").points
+    assert points.tobytes() == np.array([[float(text), float(text), 1.0]]).tobytes()
+
+
+def test_clean_records_take_the_fast_path(monkeypatch):
+    def per_line(tokens, line_no):
+        raise AssertionError("per-line parser reached on clean records")
+
+    monkeypatch.setattr(perception, "_parse_xyz_record", per_line)
+    xyz = parse_cloud("# view\n0.1 0.2 0.3\n\n-1 2e-3 4\n")
+    pcd = parse_cloud("VERSION .7\nFIELDS x y z\nPOINTS 2\nDATA ascii\n0.1 0.2 0.3\n-1 2e-3 4\n")
+    assert xyz.points.tolist() == pcd.points.tolist() == [[0.1, 0.2, 0.3], [-1.0, 0.002, 4.0]]
+
+
+@st.composite
+def rotations(draw):
+    """Proper rotations from drawn unit quaternions."""
+    q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    norm = np.linalg.norm(q)
+    if norm < 1e-3:
+        q, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    w, x, y, z = q / norm
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rotations(),
+    st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+    arrays(np.float64, st.tuples(st.integers(0, 3000), st.just(3)),
+           elements=st.floats(-1e3, 1e3)),
+)
+def test_transform_matches_strided_product_bitwise(rot, translation, points):
+    mat = np.eye(4)
+    mat[:3, :3] = rot
+    mat[:3, 3] = translation
+    pose = ScenePose(mat)
+    cloud = PointCloud(points)
+    expected = cloud.points @ pose.rotation.T + pose.translation
+    got = transform_cloud(cloud, pose).points
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_transform_matches_strided_product_on_large_views(seed):
+    # Views this size are where BLAS picks a different path for the strided operand.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    mat = np.eye(4)
+    mat[:3, :3] = q * np.sign(np.linalg.det(q))
+    mat[:3, 3] = rng.uniform(-1.0, 1.0, 3)
+    pose = ScenePose(mat)
+    cloud = PointCloud(rng.normal(size=(100_000, 3)))
+    expected = cloud.points @ pose.rotation.T + pose.translation
+    assert transform_cloud(cloud, pose).points.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text", ["1_0 2 3", "١٢ 2 3", "１ 2.5 3"])
+def test_records_numpy_rejects_but_float_accepts_still_parse(text):
+    # The vectorised call refuses these; the per-line fallback reads them.
+    assert parse_cloud(text).points.tolist() == [[float(t) for t in text.split()]]
