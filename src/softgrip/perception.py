@@ -63,9 +63,12 @@ class ScenePose:
     """Camera-to-global rigid transform as a 4x4 row-major matrix.
 
     ``rotation_t`` is R^T as its own C-contiguous array, the right-hand
-    operand of transform_cloud.  The strided view ``rotation.T`` gives the
-    same bits, but OpenBLAS can take a far slower path for it (~40 ms
-    against ~2 ms per 100k-point view, measured on a 2-vCPU x86-64 VM).
+    operand of transform_cloud.  For two or more points the strided view
+    ``rotation.T`` gives the same bits (both go to BLAS gemm), but OpenBLAS
+    can take a far slower path for it (~40 ms against ~2 ms per 100k-point
+    view, measured on a 2-vCPU x86-64 VM).  A single point goes to gemv,
+    whose plain and transposed kernels sum in different orders, so
+    transform_cloud keeps the strided view there.
     """
 
     transform: np.ndarray
@@ -317,7 +320,8 @@ def write_cloud_xyz(cloud: PointCloud, stream: IO[str]) -> None:
 
 def transform_cloud(cloud: PointCloud, pose: ScenePose) -> PointCloud:
     """Apply p' = R p + t to every point and relabel to the global frame."""
-    pts = cloud.points @ pose.rotation_t + pose.translation
+    rot_t = pose.rotation_t if len(cloud) > 1 else pose.rotation.T
+    pts = cloud.points @ rot_t + pose.translation
     return PointCloud(pts, GLOBAL_FRAME)
 
 
