@@ -1,167 +1,22 @@
 """Toolkit for a slider-crank-driven compliant two-finger gripper:
 closed-form finger kinematics, grasp-compensation planning, point-cloud
-object sizing, and quasi-static compliant-contact simulation."""
+object sizing, and quasi-static compliant-contact simulation.
 
-from .capacity import (
-    CapacityModel,
-    REFERENCE_DIAMETER_MM,
-    default_capacity_model,
-    load_capacity_file,
-    load_capacity_model,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    EmptyCloudError,
-    FrameMismatchError,
-    InsufficientDataError,
-    InvalidPoseError,
-    InvalidRangeError,
-    InvariantViolationError,
-    MissingCapacityDataError,
-    ObjectTooLargeError,
-    ObjectTooSmallError,
-    OutOfRangeError,
-    ParseError,
-    SoftgripError,
-    SurfaceConflictError,
-)
-from .geometry import (
-    DEFAULT_STEP,
-    FingerState,
-    GripperGeometry,
-    MotorTrajectory,
-    OperatingRangeWarning,
-    aperture,
-    aperture_window,
-    base_length,
-    default_geometry,
-    fingertip_angle,
-    fingertip_jacobian,
-    fingertip_positions,
-    fk_trace,
-    forward_kinematics,
-    inverse_kinematics,
-    load_geometry,
-    sample_trajectory,
-    slider_coordinate,
-    slider_displacement,
-    write_fk_trace_csv,
-)
-from .perception import (
-    ApproachDecision,
-    ObjectEstimate,
-    PointCloud,
-    RegionOfInterest,
-    ScenePose,
-    WorkspaceLimits,
-    crop_cloud,
-    decide_approach,
-    estimate_object,
-    load_cloud,
-    max_aperture_m,
-    merge_clouds,
-    parse_cloud,
-    transform_cloud,
-    write_cloud_xyz,
-)
-from .planning import (
-    GraspPlan,
-    ValidationReport,
-    plan_envelope_grasp,
-    plan_pinch_grasp,
-    validate_plan,
-    write_plan_csv,
-)
-from .simulate import (
-    FreeTrace,
-    PerturbationModel,
-    SlideConfig,
-    SlideRecord,
-    SlideTrace,
-    flex_feedback_direction,
-    simulate_free,
-    simulate_slide,
-    write_free_trace_csv,
-    write_slide_trace_csv,
-)
-from .synthetic import make_cylinder, uniform_box_noise
+Each module lists its exports once, in its ``__all__``.
+"""
+
+from . import capacity, errors, geometry, perception, planning, simulate, synthetic
+from .capacity import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .perception import *  # noqa: F403
+from .planning import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .synthetic import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityModel",
-    "REFERENCE_DIAMETER_MM",
-    "default_capacity_model",
-    "load_capacity_file",
-    "load_capacity_model",
-    "ConfigError",
-    "DomainError",
-    "EmptyCloudError",
-    "FrameMismatchError",
-    "InsufficientDataError",
-    "InvalidPoseError",
-    "InvalidRangeError",
-    "InvariantViolationError",
-    "MissingCapacityDataError",
-    "ObjectTooLargeError",
-    "ObjectTooSmallError",
-    "OutOfRangeError",
-    "ParseError",
-    "SoftgripError",
-    "SurfaceConflictError",
-    "DEFAULT_STEP",
-    "FingerState",
-    "GripperGeometry",
-    "MotorTrajectory",
-    "OperatingRangeWarning",
-    "aperture",
-    "aperture_window",
-    "base_length",
-    "default_geometry",
-    "fingertip_angle",
-    "fingertip_jacobian",
-    "fingertip_positions",
-    "fk_trace",
-    "forward_kinematics",
-    "inverse_kinematics",
-    "load_geometry",
-    "sample_trajectory",
-    "slider_coordinate",
-    "slider_displacement",
-    "write_fk_trace_csv",
-    "ApproachDecision",
-    "ObjectEstimate",
-    "PointCloud",
-    "RegionOfInterest",
-    "ScenePose",
-    "WorkspaceLimits",
-    "crop_cloud",
-    "decide_approach",
-    "estimate_object",
-    "load_cloud",
-    "max_aperture_m",
-    "merge_clouds",
-    "parse_cloud",
-    "transform_cloud",
-    "write_cloud_xyz",
-    "GraspPlan",
-    "ValidationReport",
-    "plan_envelope_grasp",
-    "plan_pinch_grasp",
-    "validate_plan",
-    "write_plan_csv",
-    "FreeTrace",
-    "PerturbationModel",
-    "SlideConfig",
-    "SlideRecord",
-    "SlideTrace",
-    "flex_feedback_direction",
-    "simulate_free",
-    "simulate_slide",
-    "write_free_trace_csv",
-    "write_slide_trace_csv",
-    "make_cylinder",
-    "uniform_box_noise",
-    "__version__",
+    *capacity.__all__, *errors.__all__, *geometry.__all__, *perception.__all__,
+    *planning.__all__, *simulate.__all__, *synthetic.__all__, "__version__",
 ]

@@ -12,11 +12,16 @@ the 0.12 kg hand-scale mass) and scaled to satisfy the measured ratios.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InvariantViolationError, MissingCapacityDataError, ParseError
+from .inputs import decode_json, read_json
+
+__all__ = [
+    "CapacityModel", "REFERENCE_DIAMETER_MM", "default_capacity_model", "load_capacity_file",
+    "load_capacity_model",
+]
 
 APPROACHES = ("horizontal", "vertical")
 HINGE_CONFIGS = ("hinged", "unhinged")
@@ -118,7 +123,8 @@ def _validate(model: CapacityModel) -> CapacityModel:
             raise InvariantViolationError(f"non-positive diameter {d}")
         if p < 0:
             raise InvariantViolationError(f"negative payload at ({d}, {a}, {h})")
-        _check_approach(a)
+        if a not in APPROACHES:
+            raise InvariantViolationError(f"approach must be one of {APPROACHES}, got {a!r}")
 
     # Reinforcement never hurts: hinged >= unhinged wherever both measured.
     for (d, a, h), p in model.entries.items():
@@ -196,21 +202,12 @@ def capacity_model_from_dict(raw: dict) -> CapacityModel:
 def load_capacity_model(source) -> CapacityModel:
     """Load a capacity model from JSON text/bytes or a parsed dict."""
     if isinstance(source, (bytes, str)):
-        try:
-            raw = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"capacity data is not valid JSON: {exc}") from exc
-    else:
-        raw = source
-    return capacity_model_from_dict(raw)
+        source = decode_json(source, "capacity data")
+    return capacity_model_from_dict(source)
 
 
 def load_capacity_file(path) -> CapacityModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_capacity_model(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read capacity file {path}: {exc}") from exc
+    return capacity_model_from_dict(read_json(path))
 
 
 def default_capacity_model() -> CapacityModel:

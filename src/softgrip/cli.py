@@ -22,15 +22,16 @@ import os
 import sys
 from pathlib import Path
 
-from . import capacity as capacity_mod
 from . import geometry as geometry_mod
+from .capacity import default_capacity_model, load_capacity_model
 from .errors import ConfigError, ParseError, SoftgripError
+from .geometry import default_geometry, geometry_from_dict
+from .inputs import decode_json, from_dict, read_bytes, read_json
 from .perception import (
     APPROACH_UNGRASPABLE,
     DEFAULT_WORKSPACE,
+    Box,
     ObjectEstimate,
-    RegionOfInterest,
-    WorkspaceLimits,
     crop_cloud,
     decide_approach,
     estimate_object,
@@ -67,24 +68,18 @@ class RunConfig:
     def load(cls, path: str | None) -> "RunConfig":
         if path is None:
             return cls({}, Path.cwd())
-        p = Path(path)
-        try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read run config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"run config {path} is not valid JSON: {exc}") from exc
+        raw = read_json(path, ConfigError)
         if not isinstance(raw, dict):
             raise ConfigError(f"run config {path} must be a JSON object")
-        return cls(raw, p.parent)
-
-    def resolve_path(self, value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else self.base_dir / p
+        return cls(raw, Path(path).parent)
 
     def path_for(self, key: str) -> Path | None:
         value = self.raw.get(key)
-        return None if value is None else self.resolve_path(value)
+        if value is None:
+            return None
+        if not isinstance(value, str):
+            raise ConfigError(f"run config key {key!r} must be a path, got {value!r}")
+        return self.base_dir / value  # an absolute value replaces base_dir
 
     def block(self, key: str) -> dict:
         value = self.raw.get(key, {})
@@ -94,7 +89,7 @@ class RunConfig:
 
 
 class RunDir:
-    """Collects artifacts and provenance for one invocation."""
+    """Reads the inputs and writes the artifacts and provenance of one invocation."""
 
     def __init__(self, out_dir: str):
         self.path = Path(out_dir)
@@ -103,18 +98,22 @@ class RunDir:
 
     def record_input(self, path) -> bytes:
         """Read an input file, record its hash and return the bytes hashed."""
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
+        data = read_bytes(path)
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         return data
 
+    def read_json(self, path):
+        """Read a JSON input once: hash its bytes and decode the same bytes."""
+        return decode_json(self.record_input(path), path)
+
     def write_text(self, name: str, text: str) -> Path:
         """Write one artifact; the directory appears with the first of them."""
-        self.path.mkdir(parents=True, exist_ok=True)
         target = self.path / name
-        target.write_text(text, encoding="utf-8")
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+            target.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {target}: {exc}") from exc
         self.outputs.append(name)
         return target
 
@@ -128,27 +127,15 @@ class RunDir:
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": sorted(self.outputs),
         }
-        self.write_text(
-            "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        self.write_json("run_manifest.json", manifest)
 
 
-def _load_geometry(args, cfg: RunConfig, run: RunDir):
-    path = Path(args.geometry) if getattr(args, "geometry", None) else cfg.path_for("geometry")
-    if path is None:
-        return geometry_mod.default_geometry()
-    geom = geometry_mod.load_geometry(path)
-    run.record_input(path)
-    return geom
-
-
-def _load_capacity(args, cfg: RunConfig, run: RunDir):
-    path = Path(args.capacity) if getattr(args, "capacity", None) else cfg.path_for("capacity")
-    if path is None:
-        return capacity_mod.default_capacity_model()
-    model = capacity_mod.load_capacity_file(path)
-    run.record_input(path)
-    return model
+def _load_model(args, cfg: RunConfig, run: RunDir, key: str, parse, default):
+    """Parse the JSON file named by --KEY, else by the run config's KEY;
+    with neither, the shipped default."""
+    flag = getattr(args, key, None)
+    path = Path(flag) if flag else cfg.path_for(key)
+    return default() if path is None else parse(run.read_json(path))
 
 
 def _public_parameters(args) -> dict:
@@ -167,7 +154,7 @@ def _public_parameters(args) -> dict:
 
 def cmd_fk(args, cfg: RunConfig) -> int:
     run = RunDir(args.out)
-    geom = _load_geometry(args, cfg, run)
+    geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
     window = "strict" if args.strict else "warn"
 
     if args.theta is not None:
@@ -195,33 +182,37 @@ def cmd_fk(args, cfg: RunConfig) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _roi_from_args(args, cfg: RunConfig) -> RegionOfInterest | None:
-    if args.roi:
-        vals = [float(v) for v in args.roi.split(",")]
-        if len(vals) != 6:
-            raise ConfigError("--roi needs 6 comma-separated numbers: x0,y0,z0,x1,y1,z1")
-        return RegionOfInterest(tuple(vals[:3]), tuple(vals[3:]))
-    block = cfg.block("roi")
-    return RegionOfInterest.from_dict(block) if block else None
-
-
-def _workspace_from_config(cfg: RunConfig) -> WorkspaceLimits:
-    block = cfg.block("workspace_limits")
-    return WorkspaceLimits.from_dict(block) if block else DEFAULT_WORKSPACE
+def _box(cfg: RunConfig, key: str, flag: str | None = None) -> Box | None:
+    """The box from a "x0,y0,z0,x1,y1,z1" flag, else from the run config's
+    KEY block, else None."""
+    if flag:
+        try:
+            values = [float(v) for v in flag.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != 6:
+            raise ConfigError(f"--{key} needs 6 comma-separated numbers: x0,y0,z0,x1,y1,z1")
+        return from_dict(Box, {"min_corner": values[:3], "max_corner": values[3:]}, f"--{key}")
+    block = cfg.block(key)
+    return from_dict(Box, block, f"run config block {key!r}") if block else None
 
 
 def cmd_estimate(args, cfg: RunConfig) -> int:
     run = RunDir(args.out)
-    geom = _load_geometry(args, cfg, run)
+    geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
+    roi = _box(cfg, "roi", args.roi)
+    workspace = _box(cfg, "workspace_limits") or DEFAULT_WORKSPACE
     manifest_path = Path(args.manifest)
-    views = load_scene_manifest(manifest_path)
-    run.record_input(manifest_path)
+    views = load_scene_manifest(run.read_json(manifest_path), f"manifest {manifest_path}")
 
     stage_counts: dict[str, int] = {}
     global_clouds = []
     for i, (cloud_rel, pose) in enumerate(views):
         cloud_path = manifest_path.parent / cloud_rel
-        cloud = parse_cloud(run.record_input(cloud_path))
+        try:  # an unreadable cloud raises ConfigError, which names it already
+            cloud = parse_cloud(run.record_input(cloud_path))
+        except ParseError as exc:
+            raise ParseError(f"{cloud_path}: {exc}") from exc
         stage_counts[f"view_{i}_parsed"] = len(cloud)
         global_clouds.append(transform_cloud(cloud, pose))
 
@@ -229,7 +220,6 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
     stage_counts["merged"] = len(merged)
     print(f"estimate: merged {len(merged)} points from {len(views)} view(s)")
 
-    roi = _roi_from_args(args, cfg)
     if roi is not None:
         merged = crop_cloud(merged, roi)
         stage_counts["cropped"] = len(merged)
@@ -240,7 +230,7 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
 
     est = estimate_object(merged, trim_fraction=args.trim)
     stage_counts["retained"] = est.point_count
-    decision = decide_approach(est, geom, _workspace_from_config(cfg))
+    decision = decide_approach(est, geom, workspace)
 
     payload = {
         "estimate": est.to_dict(),
@@ -262,27 +252,17 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
 # plan
 # ---------------------------------------------------------------------------
 
-def _read_estimate(path: Path) -> ObjectEstimate:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read estimate {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"estimate {path} is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict) and "estimate" in raw:
-        raw = raw["estimate"]
-    return ObjectEstimate.from_dict(raw)
-
-
 def cmd_plan(args, cfg: RunConfig) -> int:
     run = RunDir(args.out)
-    geom = _load_geometry(args, cfg, run)
-    capacity = _load_capacity(args, cfg, run)
-    estimate_path = Path(args.estimate)
-    est = _read_estimate(estimate_path)
-    run.record_input(estimate_path)
+    geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
+    capacity = _load_model(args, cfg, run, "capacity", load_capacity_model,
+                           default_capacity_model)
+    raw = run.read_json(Path(args.estimate))
+    if isinstance(raw, dict) and "estimate" in raw:
+        raw = raw["estimate"]
+    est = ObjectEstimate.from_dict(raw, f"estimate {args.estimate}")
 
-    decision = decide_approach(est, geom, _workspace_from_config(cfg))
+    decision = decide_approach(est, geom, _box(cfg, "workspace_limits") or DEFAULT_WORKSPACE)
     if decision.approach == APPROACH_UNGRASPABLE:
         print(f"plan: object ungraspable ({decision.reason})", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -322,19 +302,12 @@ def cmd_plan(args, cfg: RunConfig) -> int:
 
 def cmd_simulate_slide(args, cfg: RunConfig) -> int:
     run = RunDir(args.out)
-    geom = _load_geometry(args, cfg, run)
+    geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
 
     block = dict(cfg.block("slide"))
-    for key, flag in (
-        ("surface_y_mm", args.surface_y_mm),
-        ("theta_from", args.theta_from),
-        ("theta_to", args.theta_to),
-        ("step", args.step),
-        ("flex_gain", args.flex_gain),
-        ("flex_offset", args.flex_offset),
-    ):
-        if flag is not None:
-            block[key] = flag
+    for key in ("surface_y_mm", "theta_from", "theta_to", "step", "flex_gain", "flex_offset"):
+        if getattr(args, key) is not None:
+            block[key] = getattr(args, key)
     slide_cfg = SlideConfig.from_dict(block)
 
     trace = simulate_slide(geom, slide_cfg)

@@ -5,6 +5,14 @@ or parse error, 3 kinematic domain error, 4 empty result, 5 infeasible
 grasp.
 """
 
+__all__ = [
+    "ConfigError", "DomainError", "EmptyCloudError", "FrameMismatchError",
+    "InsufficientDataError", "InvalidPoseError", "InvalidRangeError",
+    "InvariantViolationError", "MissingCapacityDataError", "ObjectTooLargeError",
+    "ObjectTooSmallError", "OutOfRangeError", "ParseError", "SoftgripError",
+    "SurfaceConflictError",
+]
+
 
 class SoftgripError(Exception):
     """Base class for all toolkit errors."""
@@ -13,7 +21,8 @@ class SoftgripError(Exception):
 
 
 class ConfigError(SoftgripError):
-    """A configuration file is missing, unreadable, or structurally wrong."""
+    """A configuration or input file is missing, unreadable, or structurally
+    wrong, or the output directory cannot be written."""
 
 
 class DomainError(SoftgripError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, NamedTuple
 
@@ -31,6 +31,15 @@ from .errors import (
     InvalidRangeError,
     OutOfRangeError,
 )
+from .inputs import from_dict, read_json
+
+__all__ = [
+    "DEFAULT_STEP", "FingerState", "GripperGeometry", "MotorTrajectory",
+    "OperatingRangeWarning", "aperture", "aperture_window", "base_length", "default_geometry",
+    "fingertip_angle", "fingertip_jacobian", "fingertip_positions", "fk_trace",
+    "forward_kinematics", "inverse_kinematics", "load_geometry", "sample_trajectory",
+    "slider_coordinate", "slider_displacement", "write_fk_trace_csv",
+]
 
 DEFAULT_STEP = 0.015  # rad, the standard actuation increment
 
@@ -368,38 +377,14 @@ def write_fk_trace_csv(states: Iterable[FingerState], stream: IO[str]) -> None:
     stream.writelines(",".join(map(float.__repr__, st)) + "\n" for st in states)
 
 
-_GEOMETRY_FIELDS = tuple(f.name for f in fields(GripperGeometry))
-
-
-def geometry_from_dict(raw: dict) -> GripperGeometry:
+def geometry_from_dict(raw: dict, what: str = "geometry config") -> GripperGeometry:
     """Build a geometry from a mapping with exactly the field names."""
-    missing = [k for k in _GEOMETRY_FIELDS if k not in raw]
-    extra = [k for k in raw if k not in _GEOMETRY_FIELDS]
-    if missing:
-        raise ConfigError(f"geometry config missing fields: {', '.join(missing)}")
-    if extra:
-        raise ConfigError(f"geometry config has unknown fields: {', '.join(extra)}")
-    values = {}
-    for k in _GEOMETRY_FIELDS:
-        v = raw[k]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"geometry field {k!r} must be a number, got {v!r}")
-        values[k] = float(v)
-    return GripperGeometry(**values)
+    return from_dict(GripperGeometry, raw, what)
 
 
 def load_geometry(path) -> GripperGeometry:
     """Load a geometry JSON file (snake_case field names, mm/rad)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read geometry config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"geometry config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"geometry config {path} must be a JSON object")
-    return geometry_from_dict(raw)
+    return geometry_from_dict(read_json(path, ConfigError), f"geometry config {path}")
 
 
 def default_geometry() -> GripperGeometry:

@@ -10,7 +10,6 @@ with FIELDS x y z.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import IO, Sequence
@@ -25,6 +24,13 @@ from .errors import (
     ParseError,
 )
 from .geometry import GripperGeometry, aperture
+from .inputs import from_dict
+
+__all__ = [
+    "ApproachDecision", "Box", "ObjectEstimate", "PointCloud", "RegionOfInterest", "ScenePose",
+    "WorkspaceLimits", "crop_cloud", "decide_approach", "estimate_object", "load_cloud",
+    "max_aperture_m", "merge_clouds", "parse_cloud", "transform_cloud", "write_cloud_xyz",
+]
 
 GLOBAL_FRAME = "global"
 CAMERA_FRAME = "camera"
@@ -115,8 +121,10 @@ class ScenePose:
 
 
 @dataclass(frozen=True)
-class RegionOfInterest:
-    """Axis-aligned crop box in the global frame (meters, inclusive)."""
+class Box:
+    """Axis-aligned box in the global frame (meters, bounds inclusive): the
+    region of interest a cloud is cropped to, or the manipulator's
+    reachable workspace."""
 
     min_corner: tuple[float, float, float]
     max_corner: tuple[float, float, float]
@@ -131,9 +139,11 @@ class RegionOfInterest:
         object.__setattr__(self, "min_corner", lo)
         object.__setattr__(self, "max_corner", hi)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RegionOfInterest":
-        return cls(tuple(raw["min_corner"]), tuple(raw["max_corner"]))
+    def contains(self, point: Sequence[float]) -> bool:
+        return all(a <= p <= b for a, p, b in zip(self.min_corner, point, self.max_corner))
+
+
+RegionOfInterest = WorkspaceLimits = Box
 
 
 @dataclass(frozen=True)
@@ -147,9 +157,9 @@ class ObjectEstimate:
 
     def __post_init__(self):
         if any(e < 0 for e in self.extents):
-            raise ValueError(f"extents must be non-negative, got {self.extents}")
+            raise ConfigError(f"extents must be non-negative, got {self.extents}")
         if self.dominant_axis not in AXIS_NAMES:
-            raise ValueError(f"dominant_axis must be one of {AXIS_NAMES}")
+            raise ConfigError(f"dominant_axis must be one of {AXIS_NAMES}")
 
     def to_dict(self) -> dict:
         return {
@@ -160,16 +170,14 @@ class ObjectEstimate:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ObjectEstimate":
-        try:
-            return cls(
-                centroid=tuple(float(v) for v in raw["centroid_m"]),
-                extents=tuple(float(v) for v in raw["extents_m"]),
-                point_count=int(raw["point_count"]),
-                dominant_axis=str(raw["dominant_axis"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad object estimate payload: {exc}") from exc
+    def from_dict(cls, raw: dict, what: str = "object estimate") -> "ObjectEstimate":
+        """Inverse of to_dict."""
+        if isinstance(raw, dict):
+            raw = {_ESTIMATE_FIELDS.get(k, k): v for k, v in raw.items()}
+        return from_dict(cls, raw, what)
+
+
+_ESTIMATE_FIELDS = {"centroid_m": "centroid", "extents_m": "extents"}
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +344,7 @@ def merge_clouds(clouds: Sequence[PointCloud]) -> PointCloud:
     return PointCloud(pts, clouds[0].frame_id)
 
 
-def crop_cloud(cloud: PointCloud, roi: RegionOfInterest) -> PointCloud:
+def crop_cloud(cloud: PointCloud, roi: Box) -> PointCloud:
     """Keep points inside the box, bounds inclusive.  Idempotent."""
     if cloud.is_empty:
         return cloud
@@ -384,30 +392,7 @@ def estimate_object(cloud: PointCloud, trim_fraction: float = 0.01) -> ObjectEst
 # Approach decision
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WorkspaceLimits:
-    """Axis-aligned reachability box for the carrying manipulator (meters)."""
-
-    min_corner: tuple[float, float, float]
-    max_corner: tuple[float, float, float]
-
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.min_corner)
-        hi = tuple(float(v) for v in self.max_corner)
-        if not all(a < b for a, b in zip(lo, hi)):
-            raise ConfigError(f"need min < max per axis, got {lo} vs {hi}")
-        object.__setattr__(self, "min_corner", lo)
-        object.__setattr__(self, "max_corner", hi)
-
-    def contains(self, point: Sequence[float]) -> bool:
-        return all(a <= p <= b for a, p, b in zip(self.min_corner, point, self.max_corner))
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "WorkspaceLimits":
-        return cls(tuple(raw["min_corner"]), tuple(raw["max_corner"]))
-
-
-DEFAULT_WORKSPACE = WorkspaceLimits((-10.0, -10.0, -10.0), (10.0, 10.0, 10.0))
+DEFAULT_WORKSPACE = Box((-10.0, -10.0, -10.0), (10.0, 10.0, 10.0))
 
 APPROACH_HORIZONTAL = "horizontal"
 APPROACH_VERTICAL = "vertical"
@@ -431,7 +416,7 @@ def max_aperture_m(geom: GripperGeometry) -> float:
 def decide_approach(
     est: ObjectEstimate,
     geom: GripperGeometry,
-    limits: WorkspaceLimits = DEFAULT_WORKSPACE,
+    limits: Box = DEFAULT_WORKSPACE,
     small_height_threshold_m: float = 0.010,
 ) -> ApproachDecision:
     """Pick the grasp approach from the dominant object dimension.
@@ -464,28 +449,24 @@ def decide_approach(
 # Scene manifests
 # ---------------------------------------------------------------------------
 
-def load_scene_manifest(path) -> list[tuple[str, ScenePose]]:
-    """Read a scene manifest: {"views": [{"cloud": path, "transform": [16]}]}.
+def load_scene_manifest(raw, what: str = "manifest") -> list[tuple[str, ScenePose]]:
+    """The views of a decoded scene manifest,
+    {"views": [{"cloud": path, "transform": [16 row-major numbers]}]}.
 
     Cloud paths are returned as given (the caller resolves them relative to
     the manifest location).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
-    views = raw.get("views")
+    views = raw.get("views") if isinstance(raw, dict) else None
     if not isinstance(views, list) or not views:
-        raise ParseError(f"manifest {path} must contain a non-empty 'views' list")
+        raise ParseError(f"{what} must be an object with a non-empty 'views' list")
     out = []
     for i, view in enumerate(views):
+        cloud = view.get("cloud") if isinstance(view, dict) else None
+        if not isinstance(cloud, str):
+            raise ParseError(f"{what} view {i} needs a 'cloud' path string, got {cloud!r}")
         try:
-            cloud_path = view["cloud"]
-            pose = ScenePose.from_flat(view["transform"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"manifest view {i} malformed: {exc}") from exc
-        out.append((cloud_path, pose))
+            pose = ScenePose.from_flat(view.get("transform"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{what} view {i} 'transform' must be 16 numbers: {exc}") from exc
+        out.append((cloud, pose))
     return out

@@ -36,6 +36,11 @@ from .geometry import (
 )
 from .perception import APPROACH_HORIZONTAL, APPROACH_VERTICAL, ObjectEstimate
 
+__all__ = [
+    "GraspPlan", "ValidationReport", "plan_envelope_grasp", "plan_pinch_grasp",
+    "validate_plan", "write_plan_csv",
+]
+
 LARGE_OBJECT_THRESHOLD_MM = 80.0
 SMALL_HEIGHT_THRESHOLD_MM = 10.0
 DEFAULT_SQUEEZE_MARGIN_MM = 5.0

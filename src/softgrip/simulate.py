@@ -27,6 +27,13 @@ from .geometry import (
     forward_kinematics,
     sample_trajectory,
 )
+from .inputs import from_dict
+
+__all__ = [
+    "FreeTrace", "PerturbationModel", "SlideConfig", "SlideRecord", "SlideTrace",
+    "flex_feedback_direction", "simulate_free", "simulate_slide", "write_free_trace_csv",
+    "write_slide_trace_csv",
+]
 
 X_BIAS_CAP_MM = 10.0  # deviations beyond ~1 cm are outside the modeled regime
 
@@ -63,14 +70,6 @@ class PerturbationModel:
             raise InvariantViolationError("backlash_width_rad must be >= 0")
         if self.noise_sd_mm < 0:
             raise InvariantViolationError("noise_sd_mm must be >= 0")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PerturbationModel":
-        known = {"x_bias_mm", "backlash_width_rad", "noise_sd_mm", "seed"}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigError(f"unknown perturbation fields: {sorted(extra)}")
-        return cls(**raw)
 
 
 class FreeRecord(NamedTuple):
@@ -159,11 +158,7 @@ class SlideConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SlideConfig":
-        known = {"surface_y_mm", "theta_from", "theta_to", "step", "flex_gain", "flex_offset"}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigError(f"unknown slide fields: {sorted(extra)}")
-        return cls(**raw)
+        return from_dict(cls, raw, "slide config")
 
 
 class SlideRecord(NamedTuple):

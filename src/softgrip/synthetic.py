@@ -6,6 +6,8 @@ import numpy as np
 
 from .perception import GLOBAL_FRAME, PointCloud
 
+__all__ = ["make_cylinder", "uniform_box_noise"]
+
 
 def make_cylinder(
     diameter_m: float = 0.08,

@@ -395,3 +395,98 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                            "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len((out / "fk_trace.csv").read_text().splitlines()) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input exits 2 with one message line, never a traceback
+# ---------------------------------------------------------------------------
+
+IDENTITY = [float(v) for v in np.eye(4).ravel()]
+
+
+def _args(*argv):
+    return lambda tmp_path: list(argv)
+
+
+def _with_config(raw, then):
+    """argv for a run config holding raw, followed by then(tmp_path)."""
+    def build(tmp_path):
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps(raw))
+        return ["--config", path, *then(tmp_path)]
+    return build
+
+
+def _estimate_with_manifest(raw, *argv):
+    def build(tmp_path):
+        write_scene(tmp_path, make_cylinder(n_points=200, seed=0))
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(raw))
+        return ["estimate", "--manifest", path, *argv]
+    return build
+
+
+def _estimate(*argv):
+    return _estimate_with_manifest({"views": [{"cloud": "view0.xyz", "transform": IDENTITY}]},
+                                   *argv)
+
+
+MALFORMED_INPUTS = {
+    "slide step is a string": (
+        _with_config({"slide": {"step": "0.01"}}, _args("simulate-slide")), "'step'"),
+    "slide theta_from is null": (
+        _with_config({"slide": {"theta_from": None}}, _args("simulate-slide")), "'theta_from'"),
+    "slide flex_gain is a string": (
+        _with_config({"slide": {"flex_gain": "x"}}, _args("simulate-slide")), "'flex_gain'"),
+    "geometry is a block, not a path": (
+        _with_config({"geometry": {"r1": 20.0}}, _args("fk", "--theta", -0.8)), "'geometry'"),
+    "roi block without max_corner": (
+        _with_config({"roi": {"min_corner": [0, 0, 0]}}, _estimate()), "'max_corner'"),
+    "roi flag with a word": (_estimate("--roi", "1,2,a,4,5,6"), "--roi"),
+    "manifest is a list": (_estimate_with_manifest([1, 2]), "scene.json"),
+    "manifest cloud is a number": (
+        _estimate_with_manifest({"views": [{"cloud": 5, "transform": IDENTITY}]}), "'cloud'"),
+    "manifest transform is not numeric": (
+        _estimate_with_manifest({"views": [{"cloud": "view0.xyz", "transform": ["a"] * 16}]}),
+        "'transform'"),
+    "flex gain is nan": (_args("simulate-slide", "--flex-gain", "nan"), "'flex_gain'"),
+}
+
+
+@pytest.mark.parametrize("build, named", list(MALFORMED_INPUTS.values()),
+                         ids=list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_message(tmp_path, capsys, build, named):
+    out = tmp_path / "run"
+    assert run_cli(*build(tmp_path), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("softgrip: ") and err.count("\n") == 1, err
+    assert named in err
+    assert not out.exists()
+
+
+def test_out_naming_an_existing_file_exits_2_and_names_it(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert run_cli("fk", "--theta", -0.8, "--out", taken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("softgrip: ") and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_malformed_record_names_its_cloud(tmp_path, capsys):
+    good = write_scene(tmp_path, make_cylinder(n_points=200, seed=0), "good.xyz")
+    (tmp_path / "bad.xyz").write_text("0.0 0.1 0.2\n0.0 0.1 0.0x1\n")
+    manifest = write_manifest(tmp_path, [good, {"cloud": "bad.xyz", "transform": IDENTITY}])
+    assert run_cli("estimate", "--manifest", manifest, "--out", tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert f"softgrip: {tmp_path / 'bad.xyz'}: malformed number '0.0x1' (line 2, column 3)" in err
+
+
+def test_bad_roi_fails_before_any_cloud_is_parsed(tmp_path, monkeypatch):
+    manifest = _cylinder_manifest(tmp_path)
+    parsed = []
+    monkeypatch.setattr("softgrip.cli.parse_cloud", parsed.append)
+    rc = run_cli("estimate", "--manifest", manifest, "--roi", "1,2,a,4,5,6",
+                 "--out", tmp_path / "run")
+    assert rc == 2
+    assert parsed == []
