@@ -13,14 +13,12 @@ the 0.12 kg hand-scale mass) and scaled to satisfy the measured ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 from .errors import InvariantViolationError, MissingCapacityDataError, ParseError
-from .inputs import decode_json, read_json
+from .inputs import decode_json, from_dict, read_package_json
 
 __all__ = [
-    "CapacityModel", "REFERENCE_DIAMETER_MM", "default_capacity_model", "load_capacity_file",
-    "load_capacity_model",
+    "CapacityModel", "REFERENCE_DIAMETER_MM", "default_capacity_model", "load_capacity_model",
 ]
 
 APPROACHES = ("horizontal", "vertical")
@@ -29,6 +27,33 @@ HINGE_CONFIGS = ("hinged", "unhinged")
 # Reference object diameter: the capacity optimum for the reinforced
 # configuration; hinge gains are quoted at this diameter.
 REFERENCE_DIAMETER_MM = 80.0
+
+
+@dataclass(frozen=True)
+class CapacityEntry:
+    """One measured configuration of the capacity file."""
+
+    diameter_mm: float
+    approach: str
+    hinged: bool
+    max_payload_kg: float
+
+
+@dataclass(frozen=True)
+class DeflectionCurves:
+    """(payload fraction, deflection mm) pairs per hinge configuration."""
+
+    hinged: tuple[tuple[float, float], ...]
+    unhinged: tuple[tuple[float, float], ...]
+
+
+@dataclass(frozen=True)
+class CapacityTable:
+    """The capacity file as written: {"comment", "entries", "deflection_curves"}."""
+
+    entries: tuple[CapacityEntry, ...]
+    deflection_curves: DeflectionCurves
+    comment: str = ""
 
 
 @dataclass(frozen=True)
@@ -47,10 +72,17 @@ class CapacityModel:
     # -- lookups ----------------------------------------------------------
 
     def _curve(self, approach: str, hinged: bool) -> list[tuple[float, float]]:
+        """The (diameter, payload) pairs of one configuration, by diameter."""
+        if approach not in APPROACHES:
+            raise ValueError(f"approach must be one of {APPROACHES}, got {approach!r}")
         pts = sorted(
             (d, p) for (d, a, h), p in self.entries.items()
             if a == approach and h == hinged
         )
+        if not pts:
+            raise MissingCapacityDataError(
+                f"no capacity data for approach={approach}, hinged={hinged}"
+            )
         return pts
 
     def payload_limit(self, diameter_mm: float, approach: str, hinged: bool) -> float:
@@ -60,12 +92,7 @@ class CapacityModel:
         for that configuration (e.g. 20 mm without hinges, where the
         fingers twist and no measurement exists).
         """
-        _check_approach(approach)
         pts = self._curve(approach, hinged)
-        if not pts:
-            raise MissingCapacityDataError(
-                f"no capacity data for approach={approach}, hinged={hinged}"
-            )
         diams = [d for d, _ in pts]
         if diameter_mm < diams[0] or diameter_mm > diams[-1]:
             raise MissingCapacityDataError(
@@ -73,23 +100,11 @@ class CapacityModel:
                 f"[{diams[0]:g}, {diams[-1]:g}] mm for approach={approach}, "
                 f"hinged={hinged}"
             )
-        for (d0, p0), (d1, p1) in zip(pts, pts[1:]):
-            if d0 <= diameter_mm <= d1:
-                if d1 == d0:
-                    return p0
-                w = (diameter_mm - d0) / (d1 - d0)
-                return p0 + w * (p1 - p0)
-        return pts[-1][1]
+        return _interpolate(pts, diameter_mm)
 
     def max_payload(self, approach: str, hinged: bool) -> float:
         """Largest payload across the diameter curve for a configuration."""
-        _check_approach(approach)
-        vals = [p for (_, a, h), p in self.entries.items() if a == approach and h == hinged]
-        if not vals:
-            raise MissingCapacityDataError(
-                f"no capacity data for approach={approach}, hinged={hinged}"
-            )
-        return max(vals)
+        return max(p for _, p in self._curve(approach, hinged))
 
     def hinge_gain(self, approach: str, diameter_mm: float = REFERENCE_DIAMETER_MM) -> float:
         """Reinforced/unreinforced payload ratio at a diameter."""
@@ -101,18 +116,16 @@ class CapacityModel:
         """Interpolated deflection (mm) at a payload fraction in [0, 1]."""
         curve = self.deflection_curves["hinged" if hinged else "unhinged"]
         frac = min(max(payload_fraction, 0.0), 1.0)
-        for (f0, d0), (f1, d1) in zip(curve, curve[1:]):
-            if f0 <= frac <= f1:
-                if f1 == f0:
-                    return d0
-                w = (frac - f0) / (f1 - f0)
-                return d0 + w * (d1 - d0)
-        return curve[-1][1]
+        return _interpolate(curve, frac)
 
 
-def _check_approach(approach: str) -> None:
-    if approach not in APPROACHES:
-        raise ValueError(f"approach must be one of {APPROACHES}, got {approach!r}")
+def _interpolate(pts, x: float) -> float:
+    """Linear interpolation at x on (x, y) pairs with strictly increasing x;
+    the last y where no segment holds x."""
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 <= x <= x1:
+            return y0 + (x - x0) / (x1 - x0) * (y1 - y0)
+    return pts[-1][1]
 
 
 def _validate(model: CapacityModel) -> CapacityModel:
@@ -137,9 +150,9 @@ def _validate(model: CapacityModel) -> CapacityModel:
             )
 
     for name in HINGE_CONFIGS:
-        curve = model.deflection_curves.get(name)
-        if not curve or len(curve) < 2:
-            raise InvariantViolationError(f"deflection curve {name!r} missing or too short")
+        curve = model.deflection_curves[name]
+        if len(curve) < 2:
+            raise InvariantViolationError(f"deflection curve {name!r} has fewer than 2 points")
         fracs = [f for f, _ in curve]
         defl = [m for _, m in curve]
         if any(f1 <= f0 for f0, f1 in zip(fracs, fracs[1:])):
@@ -162,55 +175,21 @@ def _validate(model: CapacityModel) -> CapacityModel:
     return model
 
 
-def capacity_model_from_dict(raw: dict) -> CapacityModel:
-    """Build and validate a model from the capacity JSON structure."""
-    if not isinstance(raw, dict):
-        raise ParseError("capacity data must be a JSON object")
-    entries_raw = raw.get("entries")
-    curves_raw = raw.get("deflection_curves")
-    if not isinstance(entries_raw, list):
-        raise ParseError("capacity data needs an 'entries' array")
-    if not isinstance(curves_raw, dict):
-        raise ParseError("capacity data needs a 'deflection_curves' object")
-
-    entries = {}
-    for i, item in enumerate(entries_raw):
-        try:
-            key = (
-                float(item["diameter_mm"]),
-                str(item["approach"]),
-                bool(item["hinged"]),
-            )
-            payload = float(item["max_payload_kg"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"capacity entry {i} malformed: {exc}") from exc
-        if key in entries:
-            raise ParseError(f"duplicate capacity entry for {key}")
-        entries[key] = payload
-
-    curves = {}
-    for name in HINGE_CONFIGS:
-        seq = curves_raw.get(name, [])
-        try:
-            curves[name] = tuple((float(f), float(d)) for f, d in seq)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"deflection curve {name!r} malformed: {exc}") from exc
-
-    return _validate(CapacityModel(entries=entries, deflection_curves=curves))
-
-
-def load_capacity_model(source) -> CapacityModel:
-    """Load a capacity model from JSON text/bytes or a parsed dict."""
+def load_capacity_model(source, what: str = "capacity data") -> CapacityModel:
+    """Load a capacity model from JSON text/bytes or a decoded object."""
     if isinstance(source, (bytes, str)):
-        source = decode_json(source, "capacity data")
-    return capacity_model_from_dict(source)
-
-
-def load_capacity_file(path) -> CapacityModel:
-    return capacity_model_from_dict(read_json(path))
+        source = decode_json(source, what)
+    table = from_dict(CapacityTable, source, what, ParseError)
+    entries = {}
+    for e in table.entries:
+        key = (e.diameter_mm, e.approach, e.hinged)
+        if key in entries:
+            raise ParseError(f"{what} has a duplicate entry for {key}")
+        entries[key] = e.max_payload_kg
+    curves = {name: getattr(table.deflection_curves, name) for name in HINGE_CONFIGS}
+    return _validate(CapacityModel(entries=entries, deflection_curves=curves))
 
 
 def default_capacity_model() -> CapacityModel:
     """The illustrative table shipped with the package."""
-    text = resources.files("softgrip.data").joinpath("capacity_default.json").read_text()
-    return load_capacity_model(text)
+    return load_capacity_model(read_package_json("capacity_default.json"))

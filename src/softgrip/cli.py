@@ -20,7 +20,9 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional
 
 from . import geometry as geometry_mod
 from .capacity import default_capacity_model, load_capacity_model
@@ -35,18 +37,13 @@ from .perception import (
     crop_cloud,
     decide_approach,
     estimate_object,
+    is_small_height,
     load_scene_manifest,
     merge_clouds,
     parse_cloud,
     transform_cloud,
 )
-from .planning import (
-    SMALL_HEIGHT_THRESHOLD_MM,
-    plan_envelope_grasp,
-    plan_pinch_grasp,
-    validate_plan,
-    write_plan_csv,
-)
+from .planning import plan_envelope_grasp, plan_pinch_grasp, validate_plan, write_plan_csv
 from .simulate import SlideConfig, simulate_slide, write_slide_trace_csv
 
 EXIT_OK = 0
@@ -57,35 +54,32 @@ EXIT_NO_CONTACT = 6
 CONFIG_ENV_VAR = "SOFTGRIP_CONFIG"
 
 
+@dataclass(frozen=True)
 class RunConfig:
-    """Optional JSON run configuration; paths resolve against its directory."""
+    """Optional JSON run configuration.
 
-    def __init__(self, raw: dict, base_dir: Path):
-        self.raw = raw
-        self.base_dir = base_dir
+    ``slide`` stays a raw object: command-line flags merge into it before
+    SlideConfig.from_dict checks it.
+    """
+
+    geometry: Optional[str] = None
+    capacity: Optional[str] = None
+    roi: Optional[Box] = None
+    workspace_limits: Optional[Box] = None
+    slide: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
+        """The config in ``path`` (none: every key absent), with its file
+        paths resolved against its directory."""
         if path is None:
-            return cls({}, Path.cwd())
-        raw = read_json(path, ConfigError)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"run config {path} must be a JSON object")
-        return cls(raw, Path(path).parent)
-
-    def path_for(self, key: str) -> Path | None:
-        value = self.raw.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise ConfigError(f"run config key {key!r} must be a path, got {value!r}")
-        return self.base_dir / value  # an absolute value replaces base_dir
-
-    def block(self, key: str) -> dict:
-        value = self.raw.get(key, {})
-        if not isinstance(value, dict):
-            raise ConfigError(f"run config block {key!r} must be an object")
-        return value
+            return cls()
+        cfg = from_dict(cls, read_json(path, ConfigError), f"run config {path}")
+        base = Path(path).parent  # an absolute path in the file replaces it
+        return replace(cfg, **{
+            key: str(base / value) for key in ("geometry", "capacity")
+            if (value := getattr(cfg, key)) is not None
+        })
 
 
 class RunDir:
@@ -133,19 +127,13 @@ class RunDir:
 def _load_model(args, cfg: RunConfig, run: RunDir, key: str, parse, default):
     """Parse the JSON file named by --KEY, else by the run config's KEY;
     with neither, the shipped default."""
-    flag = getattr(args, key, None)
-    path = Path(flag) if flag else cfg.path_for(key)
-    return default() if path is None else parse(run.read_json(path))
+    path = getattr(args, key, None) or getattr(cfg, key)
+    return default() if path is None else parse(run.read_json(Path(path)), f"{key} {path}")
 
 
 def _public_parameters(args) -> dict:
     skip = {"func", "command", "config", "out"}
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        params[key] = value
-    return params
+    return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +170,22 @@ def cmd_fk(args, cfg: RunConfig) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _box(cfg: RunConfig, key: str, flag: str | None = None) -> Box | None:
-    """The box from a "x0,y0,z0,x1,y1,z1" flag, else from the run config's
-    KEY block, else None."""
-    if flag:
-        try:
-            values = [float(v) for v in flag.split(",")]
-        except ValueError:
-            values = []
-        if len(values) != 6:
-            raise ConfigError(f"--{key} needs 6 comma-separated numbers: x0,y0,z0,x1,y1,z1")
-        return from_dict(Box, {"min_corner": values[:3], "max_corner": values[3:]}, f"--{key}")
-    block = cfg.block(key)
-    return from_dict(Box, block, f"run config block {key!r}") if block else None
+def _box(flag: str) -> Box:
+    """The box of an --roi flag, "x0,y0,z0,x1,y1,z1"."""
+    try:
+        values = [float(v) for v in flag.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 6:
+        raise ConfigError("--roi needs 6 comma-separated numbers: x0,y0,z0,x1,y1,z1")
+    return from_dict(Box, {"min_corner": values[:3], "max_corner": values[3:]}, "--roi")
 
 
 def cmd_estimate(args, cfg: RunConfig) -> int:
     run = RunDir(args.out)
     geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
-    roi = _box(cfg, "roi", args.roi)
-    workspace = _box(cfg, "workspace_limits") or DEFAULT_WORKSPACE
+    roi = _box(args.roi) if args.roi else cfg.roi
+    workspace = cfg.workspace_limits or DEFAULT_WORKSPACE
     manifest_path = Path(args.manifest)
     views = load_scene_manifest(run.read_json(manifest_path), f"manifest {manifest_path}")
 
@@ -262,13 +246,12 @@ def cmd_plan(args, cfg: RunConfig) -> int:
         raw = raw["estimate"]
     est = ObjectEstimate.from_dict(raw, f"estimate {args.estimate}")
 
-    decision = decide_approach(est, geom, _box(cfg, "workspace_limits") or DEFAULT_WORKSPACE)
+    decision = decide_approach(est, geom, cfg.workspace_limits or DEFAULT_WORKSPACE)
     if decision.approach == APPROACH_UNGRASPABLE:
         print(f"plan: object ungraspable ({decision.reason})", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    height_mm = est.extents[2] * 1000.0
-    if height_mm <= SMALL_HEIGHT_THRESHOLD_MM:
+    if is_small_height(est):
         surface = args.surface_y_mm if args.surface_y_mm is not None else float("-inf")
         plan = plan_pinch_grasp(geom, est, surface_y_mm=surface)
     else:
@@ -304,7 +287,7 @@ def cmd_simulate_slide(args, cfg: RunConfig) -> int:
     run = RunDir(args.out)
     geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
 
-    block = dict(cfg.block("slide"))
+    block = dict(cfg.slide)
     for key in ("surface_y_mm", "theta_from", "theta_to", "step", "flex_gain", "flex_offset"):
         if getattr(args, key) is not None:
             block[key] = getattr(args, key)

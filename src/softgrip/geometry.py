@@ -16,11 +16,10 @@ concurrently.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from importlib import resources
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     InvalidRangeError,
     OutOfRangeError,
 )
-from .inputs import from_dict, read_json
+from .inputs import from_dict, read_json, read_package_json
 
 __all__ = [
     "DEFAULT_STEP", "FingerState", "GripperGeometry", "MotorTrajectory",
@@ -50,6 +49,10 @@ SLIDE_OVERTRAVEL = 0.5  # rad
 # clamped end may add one).  Checked before anything is allocated: 1e-6 rad
 # over the 1.1 rad slide range (1.1M samples) passes, 1e-7 (11M) does not.
 MAX_TRAJECTORY_SAMPLES = 10_000_000
+
+# Largest magnitude of any length (mm).  Far beyond any mechanism, and small
+# enough that no square of a length, or of a sum of two, overflows a float.
+MAX_LENGTH_MM = math.sqrt(sys.float_info.max) / 4
 
 FloatOrArray = float | np.ndarray  # chain inputs and outputs, elementwise
 
@@ -81,6 +84,10 @@ class GripperGeometry:
     theta_closed: float = -1.4
 
     def __post_init__(self):
+        for name in ("r1", "r2", "e", "c", "d", "l", "delta_x", "delta_y"):
+            value = getattr(self, name)
+            if not abs(value) <= MAX_LENGTH_MM:
+                raise ConfigError(f"need |{name}| <= {MAX_LENGTH_MM:.3g} mm, got {value}")
         if not (self.r2 > self.r1 > 0):
             raise ConfigError(f"need r2 > r1 > 0, got r1={self.r1}, r2={self.r2}")
         if self.d <= 0 or self.l <= 0:
@@ -395,7 +402,4 @@ def default_geometry() -> GripperGeometry:
     over [-1.9, -0.8] rad (see tools/fk_oracle.py) and give a ~103 mm
     maximum aperture with a ~7 mm fingertip height swing.
     """
-    raw = json.loads(
-        resources.files("softgrip.data").joinpath("geometry_default.json").read_text()
-    )
-    return geometry_from_dict(raw)
+    return geometry_from_dict(read_package_json("geometry_default.json"))

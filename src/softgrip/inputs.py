@@ -8,12 +8,14 @@ so no malformed input reaches the caller as a TypeError or KeyError.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 import typing
+from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, SoftgripError
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -39,47 +41,71 @@ def read_json(path, error: type = ParseError):
     return decode_json(read_bytes(path, error), path, error)
 
 
-def from_dict(cls, raw, what: str):
+def read_package_json(name: str):
+    """Decode one JSON file shipped in ``softgrip.data``."""
+    return decode_json(resources.files("softgrip.data").joinpath(name).read_bytes(), name)
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, list]:
+    """(type hint of each init field, names of the fields without a default)."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    return {f.name: hints[f.name] for f in fields}, required
+
+
+def from_dict(cls, raw, what: str, error: type = ConfigError):
     """Build dataclass ``cls`` from a decoded JSON object.
 
     The keys must be init fields of ``cls``, and every field without a
     default must be present.  Each value is checked against the field's type
-    hint: ``float`` takes a finite number (int or float, not bool),
-    ``int`` and ``str`` take exactly that type, ``Optional[X]`` also takes
-    null, and ``tuple[float, float, float]`` takes a list of three finite
-    numbers.  Any mismatch raises ConfigError naming ``what`` and the field.
+    hint: ``float`` takes a finite number (int or float, not bool), ``int``,
+    ``bool``, ``str`` and ``dict`` take exactly that type, ``Optional[X]``
+    also takes null, ``tuple[X, Y]`` takes a list of one value per element
+    type, ``tuple[X, ...]`` a list of any length, and a dataclass an object
+    built by this function.  Any mismatch raises ``error`` naming ``what``,
+    the key and, inside a list, the item index; an error from ``cls``
+    itself (an invariant its constructor checks) is prefixed with ``what``.
     """
     if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(raw).__name__}")
-    fields = [f for f in dataclasses.fields(cls) if f.init]
-    names = {f.name for f in fields}
-    unknown = [k for k in raw if k not in names]
+        raise error(f"{what} must be a JSON object, got {type(raw).__name__}")
+    hints, required = _schema(cls)
+    unknown = [k for k in raw if k not in hints]
     if unknown:
-        raise ConfigError(f"{what} has unknown keys: {', '.join(map(repr, unknown))}")
-    missing = [f.name for f in fields if f.name not in raw
-               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+        raise error(f"{what} has unknown keys: {', '.join(map(repr, unknown))}")
+    missing = [k for k in required if k not in raw]
     if missing:
-        raise ConfigError(f"{what} is missing keys: {', '.join(map(repr, missing))}")
-    hints = typing.get_type_hints(cls)
-    return cls(**{k: _typed(hints[k], v, f"{what} key {k!r}") for k, v in raw.items()})
+        raise error(f"{what} is missing keys: {', '.join(map(repr, missing))}")
+    kwargs = {k: _typed(hints[k], v, f"{what} key {k!r}", error) for k, v in raw.items()}
+    try:
+        return cls(**kwargs)
+    except SoftgripError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
 
 
-def _typed(hint, value, where: str):
-    args = typing.get_args(hint)
-    if type(None) in args:  # Optional[X]
-        if value is None:
-            return None
-        (hint,) = (a for a in args if a is not type(None))
-    elif typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)) or len(value) != len(args):
-            raise ConfigError(f"{where} must be a list of {len(args)} numbers, got {value!r}")
-        return tuple(_typed(a, v, where) for a, v in zip(args, value))
+def _typed(hint, value, where: str, error: type):
     if hint is float:
         # The range check also rejects NaN and ints too large for a float.
         if isinstance(value, (int, float)) and not isinstance(value, bool) \
                 and -_FLOAT_MAX <= value <= _FLOAT_MAX:
             return float(value)
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    if type(value) is not hint:  # exact, so a bool is not an int
-        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
-    return value
+        raise error(f"{where} must be a finite number, got {value!r}")
+    if type(value) is hint:  # exact, so a bool is not an int
+        return value
+    args = typing.get_args(hint)
+    if type(None) in args:  # Optional[X]
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else _typed(inner, value, where, error)
+    if typing.get_origin(hint) is tuple:
+        variadic = args[1:] == (Ellipsis,)
+        if not isinstance(value, list) or not variadic and len(value) != len(args):
+            size = "" if variadic else f" of {len(args)} values"
+            raise error(f"{where} must be a list{size}, got {value!r}")
+        types = args[:1] * len(value) if variadic else args
+        return tuple(_typed(t, v, f"{where} item {i}", error)
+                     for i, (t, v) in enumerate(zip(types, value)))
+    if dataclasses.is_dataclass(hint):
+        return from_dict(hint, value, where, error)
+    raise error(f"{where} must be {hint.__name__}, got {value!r}")

@@ -398,6 +398,9 @@ APPROACH_HORIZONTAL = "horizontal"
 APPROACH_VERTICAL = "vertical"
 APPROACH_UNGRASPABLE = "ungraspable"
 
+# Objects at most this tall (m) are pinched from above; taller ones are enveloped.
+SMALL_HEIGHT_THRESHOLD_M = 0.010
+
 
 @dataclass(frozen=True)
 class ApproachDecision:
@@ -413,11 +416,13 @@ def max_aperture_m(geom: GripperGeometry) -> float:
     return aperture(geom, geom.theta_open) / 1000.0
 
 
+def is_small_height(est: ObjectEstimate) -> bool:
+    """Whether an object is low enough for a vertical pinch grasp from above."""
+    return est.extents[2] <= SMALL_HEIGHT_THRESHOLD_M
+
+
 def decide_approach(
-    est: ObjectEstimate,
-    geom: GripperGeometry,
-    limits: Box = DEFAULT_WORKSPACE,
-    small_height_threshold_m: float = 0.010,
+    est: ObjectEstimate, geom: GripperGeometry, limits: Box = DEFAULT_WORKSPACE
 ) -> ApproachDecision:
     """Pick the grasp approach from the dominant object dimension.
 
@@ -428,11 +433,11 @@ def decide_approach(
     horizontally (tall objects because their dominant extent is vertical);
     outside the workspace box the approach falls back to vertical.
     """
-    ex, ey, ez = est.extents
+    ex, ey, _ = est.extents
     lateral = min(ex, ey)
     ap = max_aperture_m(geom)
 
-    if ez <= small_height_threshold_m:
+    if is_small_height(est):
         if lateral <= ap:
             return ApproachDecision(APPROACH_VERTICAL, "small_height")
         return ApproachDecision(APPROACH_UNGRASPABLE, "exceeds_aperture")
@@ -449,24 +454,32 @@ def decide_approach(
 # Scene manifests
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class View:
+    """One view of a scene manifest: a cloud file and its camera-to-global
+    transform as 16 row-major numbers."""
+
+    cloud: str
+    transform: tuple[float, ...]
+    pose: ScenePose = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pose", ScenePose.from_flat(self.transform))
+
+
+@dataclass(frozen=True)
+class SceneManifest:
+    views: tuple[View, ...]
+
+
 def load_scene_manifest(raw, what: str = "manifest") -> list[tuple[str, ScenePose]]:
-    """The views of a decoded scene manifest,
+    """The (cloud path, pose) of each view of a decoded scene manifest,
     {"views": [{"cloud": path, "transform": [16 row-major numbers]}]}.
 
     Cloud paths are returned as given (the caller resolves them relative to
     the manifest location).
     """
-    views = raw.get("views") if isinstance(raw, dict) else None
-    if not isinstance(views, list) or not views:
-        raise ParseError(f"{what} must be an object with a non-empty 'views' list")
-    out = []
-    for i, view in enumerate(views):
-        cloud = view.get("cloud") if isinstance(view, dict) else None
-        if not isinstance(cloud, str):
-            raise ParseError(f"{what} view {i} needs a 'cloud' path string, got {cloud!r}")
-        try:
-            pose = ScenePose.from_flat(view.get("transform"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{what} view {i} 'transform' must be 16 numbers: {exc}") from exc
-        out.append((cloud, pose))
-    return out
+    views = from_dict(SceneManifest, raw, what, ParseError).views
+    if not views:
+        raise ParseError(f"{what} key 'views' must not be empty")
+    return [(view.cloud, view.pose) for view in views]

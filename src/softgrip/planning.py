@@ -25,7 +25,6 @@ from .errors import (
     SurfaceConflictError,
 )
 from .geometry import (
-    DEFAULT_STEP,
     GripperGeometry,
     MotorTrajectory,
     aperture_window,
@@ -34,7 +33,13 @@ from .geometry import (
     sample_trajectory,
     slider_displacement,
 )
-from .perception import APPROACH_HORIZONTAL, APPROACH_VERTICAL, ObjectEstimate
+from .perception import (
+    APPROACH_HORIZONTAL,
+    APPROACH_VERTICAL,
+    SMALL_HEIGHT_THRESHOLD_M,
+    ObjectEstimate,
+    is_small_height,
+)
 
 __all__ = [
     "GraspPlan", "ValidationReport", "plan_envelope_grasp", "plan_pinch_grasp",
@@ -42,7 +47,6 @@ __all__ = [
 ]
 
 LARGE_OBJECT_THRESHOLD_MM = 80.0
-SMALL_HEIGHT_THRESHOLD_MM = 10.0
 DEFAULT_SQUEEZE_MARGIN_MM = 5.0
 
 # Cloud-based sizing carries percent-level error, so the class boundary
@@ -83,18 +87,12 @@ def object_diameter_mm(est: ObjectEstimate) -> float:
     return min(est.extents[0], est.extents[1]) * 1000.0
 
 
-def object_height_mm(est: ObjectEstimate) -> float:
-    return est.extents[2] * 1000.0
-
-
 def plan_envelope_grasp(
     geom: GripperGeometry,
     est: ObjectEstimate,
     squeeze_margin_mm: float = DEFAULT_SQUEEZE_MARGIN_MM,
     *,
-    step: float = DEFAULT_STEP,
     residual_fraction: float = 0.0,
-    large_object_threshold_mm: float = LARGE_OBJECT_THRESHOLD_MM,
 ) -> GraspPlan:
     """Enveloping grasp for a large object, closing from fully open.
 
@@ -112,9 +110,9 @@ def plan_envelope_grasp(
         raise ConfigError(f"residual_fraction must be in [0, 1], got {residual_fraction}")
     diameter = object_diameter_mm(est)
     ap_closed, ap_open = aperture_window(geom)
-    if diameter < large_object_threshold_mm - CLASS_TOLERANCE_MM:
+    if diameter < LARGE_OBJECT_THRESHOLD_MM - CLASS_TOLERANCE_MM:
         raise ObjectTooSmallError(
-            f"object diameter {diameter:.1f} mm below the {large_object_threshold_mm:g} mm "
+            f"object diameter {diameter:.1f} mm below the {LARGE_OBJECT_THRESHOLD_MM:g} mm "
             "envelope class; use the pinch planner"
         )
     if diameter > ap_open:
@@ -136,9 +134,9 @@ def plan_envelope_grasp(
 
     theta_start = geom.theta_open
     if target_theta == theta_start:
-        trajectory = MotorTrajectory(samples=(theta_start,), step=step)
+        trajectory = MotorTrajectory(samples=(theta_start,))
     else:
-        trajectory = sample_trajectory(geom, theta_start, target_theta, step, window="ignore")
+        trajectory = sample_trajectory(geom, theta_start, target_theta, window="ignore")
 
     keep = 1.0 - residual_fraction
     delta_start = slider_displacement(geom, theta_start)
@@ -160,9 +158,6 @@ def plan_pinch_grasp(
     geom: GripperGeometry,
     est: ObjectEstimate,
     surface_y_mm: float = float("-inf"),
-    *,
-    step: float = DEFAULT_STEP,
-    small_height_threshold_mm: float = SMALL_HEIGHT_THRESHOLD_MM,
 ) -> GraspPlan:
     """Vertical pinch grasp for a small-height object on a surface.
 
@@ -176,11 +171,10 @@ def plan_pinch_grasp(
     finger axis (larger = farther from the gripper body); the plan fails
     with SurfaceConflictError when the fingertips cannot reach it.
     """
-    height = object_height_mm(est)
-    if height > small_height_threshold_mm:
+    if not is_small_height(est):
         raise ObjectTooLargeError(
-            f"object height {height:.1f} mm exceeds the "
-            f"{small_height_threshold_mm:g} mm pinch class; use the envelope planner"
+            f"object height {est.extents[2] * 1000.0:.1f} mm exceeds the "
+            f"{SMALL_HEIGHT_THRESHOLD_M * 1000:g} mm pinch class; use the envelope planner"
         )
     _, ap_open = aperture_window(geom)
     diameter = object_diameter_mm(est)
@@ -198,7 +192,7 @@ def plan_pinch_grasp(
             f"{surface_y_mm:.1f} mm"
         )
 
-    trajectory = sample_trajectory(geom, theta_start, geom.theta_closed, step, window="ignore")
+    trajectory = sample_trajectory(geom, theta_start, geom.theta_closed, window="ignore")
     tips = forward_kinematics(geom, np.asarray(trajectory.samples), window="ignore").y_tip
     return GraspPlan(
         approach=APPROACH_VERTICAL,

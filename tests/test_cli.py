@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -431,6 +433,39 @@ def _estimate(*argv):
                                    *argv)
 
 
+def _shipped(name):
+    return json.loads(resources.files("softgrip.data").joinpath(name).read_text())
+
+
+def _plan_with_capacity(mutate):
+    """argv for a plan whose --capacity file is the shipped table after mutate(table)."""
+    def build(tmp_path):
+        table = _shipped("capacity_default.json")
+        mutate(table)
+        path = tmp_path / "capacity.json"
+        path.write_text(json.dumps(table))
+        return ["plan", "--estimate", write_estimate(tmp_path, (0.08, 0.08, 0.12)),
+                "--mass", 0.1, "--capacity", path]
+    return build
+
+
+def _set(*keys, value):
+    """A mutation setting table[keys[0]][keys[1]]... to value."""
+    def mutate(table):
+        for key in keys[:-1]:
+            table = table[key]
+        table[keys[-1]] = value
+    return mutate
+
+
+def _fk_with_geometry(**fields):
+    def build(tmp_path):
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps({**_shipped("geometry_default.json"), **fields}))
+        return ["fk", "--theta", -0.8, "--geometry", path]
+    return build
+
+
 MALFORMED_INPUTS = {
     "slide step is a string": (
         _with_config({"slide": {"step": "0.01"}}, _args("simulate-slide")), "'step'"),
@@ -450,6 +485,33 @@ MALFORMED_INPUTS = {
         _estimate_with_manifest({"views": [{"cloud": "view0.xyz", "transform": ["a"] * 16}]}),
         "'transform'"),
     "flex gain is nan": (_args("simulate-slide", "--flex-gain", "nan"), "'flex_gain'"),
+    "capacity payload is nan": (
+        _plan_with_capacity(_set("entries", 3, "max_payload_kg", value=math.nan)),
+        "item 3 key 'max_payload_kg'"),
+    "capacity hinged is a string": (
+        _plan_with_capacity(_set("entries", 0, "hinged", value="false")), "'hinged'"),
+    "capacity diameter is a string": (
+        _plan_with_capacity(_set("entries", 0, "diameter_mm", value="20")), "'diameter_mm'"),
+    "capacity payload is a bool": (
+        _plan_with_capacity(_set("entries", 0, "max_payload_kg", value=True)),
+        "'max_payload_kg'"),
+    "capacity entry has an unknown key": (
+        _plan_with_capacity(_set("entries", 0, "colour", value="red")), "'colour'"),
+    "capacity curve pair has 3 numbers": (
+        _plan_with_capacity(_set("deflection_curves", "hinged", 1, value=[0.2, 1.0, 2.0])),
+        "'hinged' item 1"),
+    "run config key has a typo": (
+        _with_config({"geometery": "g.json"}, _args("fk", "--theta", -0.8)), "'geometery'"),
+    "manifest transform of numeric strings": (
+        _estimate_with_manifest({"views": [{"cloud": "view0.xyz",
+                                            "transform": [str(v) for v in IDENTITY]}]}),
+        "'transform'"),
+    "manifest transform of booleans": (
+        _estimate_with_manifest({"views": [{"cloud": "view0.xyz",
+                                            "transform": [bool(v) for v in IDENTITY]}]}),
+        "'transform'"),
+    "geometry lengths overflow": (
+        _fk_with_geometry(r1=1e199, r2=1e200), "geometry.json: need |r1|"),
 }
 
 
