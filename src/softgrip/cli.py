@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import IO, Callable, Optional
 
 from . import geometry as geometry_mod
 from .capacity import default_capacity_model, load_capacity_model
@@ -100,19 +100,22 @@ class RunDir:
         """Read a JSON input once: hash its bytes and decode the same bytes."""
         return decode_json(self.record_input(path), path)
 
-    def write_text(self, name: str, text: str) -> Path:
-        """Write one artifact; the directory appears with the first of them."""
+    def write(self, name: str, fill: Callable[[IO[str]], object]) -> Path:
+        """Write one artifact by streaming ``fill(stream)`` into its file; the
+        directory appears with the first of them."""
         target = self.path / name
         try:
             self.path.mkdir(parents=True, exist_ok=True)
-            target.write_text(text, encoding="utf-8")
+            with target.open("w", encoding="utf-8") as stream:
+                fill(stream)
         except OSError as exc:
             raise ConfigError(f"cannot write {target}: {exc}") from exc
         self.outputs.append(name)
         return target
 
     def write_json(self, name: str, payload: dict) -> Path:
-        return self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return self.write(name, lambda stream: stream.write(text))
 
     def finalize(self, command: str, parameters: dict) -> None:
         manifest = {
@@ -157,12 +160,12 @@ def cmd_fk(args, cfg: RunConfig) -> int:
             geom, args.theta_from, args.theta_to, args.step, window=window
         )
 
-    states = geometry_mod.fk_trace(geom, trajectory, window="ignore")
-    buf = io.StringIO()
-    geometry_mod.write_fk_trace_csv(states, buf)
-    out_path = run.write_text("fk_trace.csv", buf.getvalue())
+    trace = geometry_mod.fk_trace(geom, trajectory, window="ignore")
+    out_path = run.write(
+        "fk_trace.csv", lambda stream: geometry_mod.write_fk_trace_csv(trace, stream)
+    )
     run.finalize("fk", _public_parameters(args))
-    print(f"fk: wrote {len(states)} rows to {out_path}")
+    print(f"fk: wrote {len(trace)} rows to {out_path}")
     return EXIT_OK
 
 
@@ -264,9 +267,7 @@ def cmd_plan(args, cfg: RunConfig) -> int:
 
     report = validate_plan(plan, est, args.mass, capacity, hinged=not args.unhinged)
 
-    buf = io.StringIO()
-    write_plan_csv(plan, buf)
-    run.write_text("plan_trajectory.csv", buf.getvalue())
+    run.write("plan_trajectory.csv", lambda stream: write_plan_csv(plan, stream))
     out_path = run.write_json(
         "plan.json", {"plan": plan.to_dict(), "validation": report.to_dict()}
     )
@@ -295,9 +296,7 @@ def cmd_simulate_slide(args, cfg: RunConfig) -> int:
 
     trace = simulate_slide(geom, slide_cfg)
 
-    buf = io.StringIO()
-    write_slide_trace_csv(trace, buf)
-    run.write_text("slide_trace.csv", buf.getvalue())
+    run.write("slide_trace.csv", lambda stream: write_slide_trace_csv(trace, stream))
     summary = {
         "surface_y_mm": trace.surface_y_mm,
         "contact_theta": trace.contact_theta,
@@ -385,15 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"softgrip: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = RunConfig.load(args.config)
-        return args.func(args, cfg)
-    except SoftgripError as exc:
-        print(f"softgrip: {exc}", file=sys.stderr)
-        return exc.exit_code
+    with warnings.catch_warnings():  # restores the caller's warning display
+        warnings.showwarning = _print_warning
+        try:
+            cfg = RunConfig.load(args.config)
+            return args.func(args, cfg)
+        except SoftgripError as exc:
+            print(f"softgrip: {exc}", file=sys.stderr)
+            return exc.exit_code
 
 
 def console_main() -> None:

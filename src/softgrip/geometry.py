@@ -11,7 +11,8 @@ labeling choice.
 
 Every chain function takes a scalar or a numpy array of angles and is
 vectorized elementwise.  All functions are pure and safe to call
-concurrently.
+concurrently.  Trajectories and traces hold read-only float64 columns;
+write_columns is the one CSV writer of every trace.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,10 +36,11 @@ from .inputs import from_dict, read_json, read_package_json
 
 __all__ = [
     "DEFAULT_STEP", "FingerState", "GripperGeometry", "MotorTrajectory",
-    "OperatingRangeWarning", "aperture", "aperture_window", "base_length", "default_geometry",
-    "fingertip_angle", "fingertip_jacobian", "fingertip_positions", "fk_trace",
-    "forward_kinematics", "inverse_kinematics", "load_geometry", "sample_trajectory",
-    "slider_coordinate", "slider_displacement", "write_fk_trace_csv",
+    "OperatingRangeWarning", "Trace", "aperture", "aperture_window", "base_length",
+    "default_geometry", "fingertip_angle", "fingertip_jacobian", "fingertip_positions",
+    "fk_trace", "forward_kinematics", "inverse_kinematics", "load_geometry",
+    "sample_trajectory", "slider_coordinate", "slider_displacement", "write_columns",
+    "write_fk_trace_csv",
 ]
 
 DEFAULT_STEP = 0.015  # rad, the standard actuation increment
@@ -53,6 +56,9 @@ MAX_TRAJECTORY_SAMPLES = 10_000_000
 # Largest magnitude of any length (mm).  Far beyond any mechanism, and small
 # enough that no square of a length, or of a sum of two, overflows a float.
 MAX_LENGTH_MM = math.sqrt(sys.float_info.max) / 4
+
+# Rows write_columns formats and writes per stream.write call.
+CSV_CHUNK_ROWS = 4096
 
 FloatOrArray = float | np.ndarray  # chain inputs and outputs, elementwise
 
@@ -106,7 +112,7 @@ class GripperGeometry:
         b = base_length(self, slider_displacement(self, ends))
         if np.any(b > 2 * self.l):
             raise ConfigError(
-                f"base length exceeds 2*l at theta={ends[np.argmax(b)]:.6f}; "
+                f"base length exceeds 2*l at theta={ends[np.argmax(b)]:.6g}; "
                 "geometry incompatible with the isosceles finger model"
             )
 
@@ -140,33 +146,80 @@ class FingerState(NamedTuple):
         return self.x_right - self.x_left
 
 
+def _same(a, b) -> bool:
+    """Value equality that compares arrays, also inside tuples, elementwise."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def eq_by_value(self, other) -> bool:
+    """``==`` of a dataclass that holds arrays: field by field, arrays by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class MotorTrajectory:
     """Strictly monotone sequence of motor angles with its nominal step.
 
-    A single-sample trajectory is allowed (degenerate hold-in-place plan);
-    sample_trajectory itself always produces at least two samples.  Every
-    sample must be finite.
+    samples is held as a read-only float64 array, copied from any sequence
+    of numbers.  A single-sample trajectory is allowed (degenerate
+    hold-in-place plan); sample_trajectory itself always produces at least
+    two samples.  Every sample must be finite.
     """
 
-    samples: tuple[float, ...]
+    samples: np.ndarray
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
-        if not self.samples:
-            raise InvalidRangeError("a trajectory needs at least one sample")
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.array(self.samples, dtype=np.float64)
+        if samples.ndim != 1 or not len(samples):
+            raise InvalidRangeError("a trajectory needs a flat sequence of at least one sample")
         if not np.isfinite(samples).all():
             raise InvalidRangeError("trajectory samples must be finite")
         diffs = np.diff(samples)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise InvalidRangeError("trajectory samples must be strictly monotone")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+
+    __eq__ = eq_by_value
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def __iter__(self):
-        return iter(self.samples)
+        return iter(self.samples.tolist())
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Per-sample rows held as columns.
+
+    columns is a NamedTuple of equal-length arrays, one per field of the
+    row type (float64, or str for a label); they are made read-only.
+    records builds the rows themselves, one row type instance of Python
+    scalars per sample, on first use.
+    """
+
+    columns: tuple
+
+    def __post_init__(self):
+        for column in self.columns:
+            column.flags.writeable = False
+
+    __eq__ = eq_by_value
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @cached_property
+    def records(self) -> tuple:
+        return tuple(map(type(self.columns), *(c.tolist() for c in self.columns)))
 
 
 def check_window(geom: GripperGeometry, theta: FloatOrArray, window: str = "warn") -> None:
@@ -179,7 +232,7 @@ def check_window(geom: GripperGeometry, theta: FloatOrArray, window: str = "warn
     if geom.theta_closed <= lo and hi <= geom.theta_open:
         return
     msg = (
-        f"theta={lo if lo < geom.theta_closed else hi:.6f} outside operating window "
+        f"theta={lo if lo < geom.theta_closed else hi:.6g} outside operating window "
         f"[{geom.theta_closed}, {geom.theta_open}]"
     )
     if window == "strict":
@@ -314,7 +367,7 @@ def fingertip_jacobian(
     spread = 4 * geom.l ** 2 - b * b
     if np.any(spread <= 0):
         raise DomainError(
-            f"chain singular at theta={np.extract(spread <= 0, theta)[0]:.6f}: "
+            f"chain singular at theta={np.extract(spread <= 0, theta)[0]:.6g}: "
             "base length reaches 2*l"
         )
     d_alpha = (geom.d / (b * b) - delta / (b * np.sqrt(spread))) * d_delta
@@ -357,31 +410,59 @@ def sample_trajectory(
 
     direction = 1.0 if span > 0 else -1.0
     n_full = int(math.floor(steps))
-    samples = (theta_from + direction * step * np.arange(n_full + 1)).tolist()
+    samples = theta_from + direction * step * np.arange(n_full + 1)
     if abs(samples[-1] - theta_to) <= 1e-12:
         samples[-1] = theta_to
     else:
-        samples.append(theta_to)
-    return MotorTrajectory(samples=tuple(samples), step=step)
+        samples = np.append(samples, theta_to)
+    return MotorTrajectory(samples=samples, step=step)
 
 
 def fk_trace(
     geom: GripperGeometry,
     trajectory: MotorTrajectory,
     window: str = "ignore",
-) -> tuple[FingerState, ...]:
-    """Forward kinematics along a trajectory, one FingerState per sample."""
-    columns = forward_kinematics(geom, np.asarray(trajectory.samples), window=window)
-    return tuple(map(FingerState, trajectory.samples, *(c.tolist() for c in columns[1:])))
+) -> Trace:
+    """Forward kinematics along a trajectory: a FingerState of columns."""
+    return Trace(forward_kinematics(geom, trajectory.samples, window=window))
+
+
+def _texts(column: np.ndarray) -> list:
+    """The CSV text of each value of a column (see write_columns)."""
+    if column.dtype != np.float64:
+        return column.tolist()
+    bits = column.view(np.int64)
+    new_run = bits[1:] != bits[:-1]
+    if new_run.all():
+        return list(map(float.__repr__, column.tolist()))
+    starts = np.flatnonzero(np.concatenate(([True], new_run)))
+    texts = np.array(list(map(float.__repr__, column[starts].tolist())), dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(column))).tolist()
+
+
+def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -> None:
+    """Write equal-length columns as CSV rows under ``header``.
+
+    A float64 column is written with float.__repr__ (the shortest text that
+    reads back to the same value), called once per run of bit-identical
+    consecutive values: runs are found on the int64 view, so 0.0 and -0.0
+    stay apart.  Any other column holds strings, written as they are.  Rows
+    go to ``stream`` CSV_CHUNK_ROWS at a time, so the text of the whole
+    table is never held at once.
+    """
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    stream.write(header + "\n")
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        texts = [_texts(c[start:start + CSV_CHUNK_ROWS]) for c in columns]
+        stream.write("".join(map(row.format, *texts)))
 
 
 FK_TRACE_HEADER = "theta,y_b,delta,b,alpha,x_left,x_right,y_tip"
 
 
-def write_fk_trace_csv(states: Iterable[FingerState], stream: IO[str]) -> None:
-    """Write finger states as CSV with the standard trace header."""
-    stream.write(FK_TRACE_HEADER + "\n")
-    stream.writelines(",".join(map(float.__repr__, st)) + "\n" for st in states)
+def write_fk_trace_csv(trace: Trace, stream: IO[str]) -> None:
+    """Write an fk_trace result as CSV with the standard trace header."""
+    write_columns(FK_TRACE_HEADER, trace.columns, stream)
 
 
 def geometry_from_dict(raw: dict, what: str = "geometry config") -> GripperGeometry:

@@ -69,43 +69,56 @@ def from_dict(cls, raw, what: str, error: type = ConfigError):
     the key and, inside a list, the item index; an error from ``cls``
     itself (an invariant its constructor checks) is prefixed with ``what``.
     """
+    return _build(cls, raw, (what,), error)
+
+
+def _name(path: tuple) -> str:
+    """``what key 'k' item 3 ...`` for a path (what, key or item index, ...);
+    built only to raise, since most values pass."""
+    return f"{path[0]}" + "".join(
+        f" item {step}" if isinstance(step, int) else f" key {step!r}" for step in path[1:]
+    )
+
+
+def _build(cls, raw, path: tuple, error: type):
     if not isinstance(raw, dict):
-        raise error(f"{what} must be a JSON object, got {type(raw).__name__}")
+        raise error(f"{_name(path)} must be a JSON object, got {type(raw).__name__}")
     hints, required = _schema(cls)
     unknown = [k for k in raw if k not in hints]
     if unknown:
-        raise error(f"{what} has unknown keys: {', '.join(map(repr, unknown))}")
+        raise error(f"{_name(path)} has unknown keys: {', '.join(map(repr, unknown))}")
     missing = [k for k in required if k not in raw]
     if missing:
-        raise error(f"{what} is missing keys: {', '.join(map(repr, missing))}")
-    kwargs = {k: _typed(hints[k], v, f"{what} key {k!r}", error) for k, v in raw.items()}
+        raise error(f"{_name(path)} is missing keys: {', '.join(map(repr, missing))}")
+    kwargs = {k: _typed(hints[k], v, path, k, error) for k, v in raw.items()}
     try:
         return cls(**kwargs)
     except SoftgripError as exc:
-        raise type(exc)(f"{what}: {exc}") from exc
+        raise type(exc)(f"{_name(path)}: {exc}") from exc
 
 
-def _typed(hint, value, where: str, error: type):
+def _typed(hint, value, path: tuple, step, error: type):
+    """``value`` checked against ``hint``; it sits at ``path`` + ``step``."""
     if hint is float:
         # The range check also rejects NaN and ints too large for a float.
         if isinstance(value, (int, float)) and not isinstance(value, bool) \
                 and -_FLOAT_MAX <= value <= _FLOAT_MAX:
             return float(value)
-        raise error(f"{where} must be a finite number, got {value!r}")
+        raise error(f"{_name((*path, step))} must be a finite number, got {value!r}")
     if type(value) is hint:  # exact, so a bool is not an int
         return value
     args = typing.get_args(hint)
     if type(None) in args:  # Optional[X]
         (inner,) = (a for a in args if a is not type(None))
-        return None if value is None else _typed(inner, value, where, error)
+        return None if value is None else _typed(inner, value, path, step, error)
     if typing.get_origin(hint) is tuple:
         variadic = args[1:] == (Ellipsis,)
         if not isinstance(value, list) or not variadic and len(value) != len(args):
             size = "" if variadic else f" of {len(args)} values"
-            raise error(f"{where} must be a list{size}, got {value!r}")
+            raise error(f"{_name((*path, step))} must be a list{size}, got {value!r}")
         types = args[:1] * len(value) if variadic else args
-        return tuple(_typed(t, v, f"{where} item {i}", error)
-                     for i, (t, v) in enumerate(zip(types, value)))
+        path = (*path, step)
+        return tuple(_typed(t, v, path, i, error) for i, (t, v) in enumerate(zip(types, value)))
     if dataclasses.is_dataclass(hint):
-        return from_dict(hint, value, where, error)
-    raise error(f"{where} must be {hint.__name__}, got {value!r}")
+        return _build(hint, value, (*path, step), error)
+    raise error(f"{_name((*path, step))} must be {hint.__name__}, got {value!r}")

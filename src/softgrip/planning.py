@@ -13,6 +13,7 @@ millimeters, converted once on entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Optional
 
 import numpy as np
@@ -28,10 +29,12 @@ from .geometry import (
     GripperGeometry,
     MotorTrajectory,
     aperture_window,
+    eq_by_value,
     forward_kinematics,
     inverse_kinematics,
     sample_trajectory,
     slider_displacement,
+    write_columns,
 )
 from .perception import (
     APPROACH_HORIZONTAL,
@@ -58,25 +61,37 @@ CLASS_TOLERANCE_MM = 1.0
 class GraspPlan:
     """Motor trajectory plus arm compensation for one grasp.
 
-    arm_compensation pairs (theta, displacement mm) along the grasp axis;
-    the first displacement is always 0.  residual_uncompensated records
-    the slider displacement deliberately left to the fingers.
+    arm_compensation_mm is the arm displacement along the grasp axis at
+    each motor sample, a read-only float64 column; the first displacement
+    is always 0.  residual_uncompensated records the slider displacement
+    deliberately left to the fingers.
     """
 
     approach: str
     motor_trajectory: MotorTrajectory
-    arm_compensation: tuple[tuple[float, float], ...]
+    arm_compensation_mm: np.ndarray
     residual_uncompensated: float
     target_theta: float
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        self.arm_compensation_mm.flags.writeable = False
+
+    __eq__ = eq_by_value
+
+    @cached_property
+    def arm_compensation(self) -> tuple[tuple[float, float], ...]:
+        """(theta, displacement mm) pairs, one per motor sample."""
+        return tuple(zip(self.motor_trajectory.samples.tolist(),
+                         self.arm_compensation_mm.tolist()))
 
     def to_dict(self) -> dict:
         return {
             "approach": self.approach,
             "target_theta": self.target_theta,
-            "motor_trajectory": list(self.motor_trajectory.samples),
+            "motor_trajectory": self.motor_trajectory.samples.tolist(),
             "step": self.motor_trajectory.step,
-            "arm_compensation": [[t, d] for t, d in self.arm_compensation],
+            "arm_compensation": list(map(list, self.arm_compensation)),
             "residual_uncompensated_mm": self.residual_uncompensated,
             "warnings": list(self.warnings),
         }
@@ -140,14 +155,14 @@ def plan_envelope_grasp(
 
     keep = 1.0 - residual_fraction
     delta_start = slider_displacement(geom, theta_start)
-    shift = keep * (delta_start - slider_displacement(geom, np.asarray(trajectory.samples)))
+    shift = keep * (delta_start - slider_displacement(geom, trajectory.samples))
     residual = residual_fraction * (
         slider_displacement(geom, target_theta) - delta_start
     )
     return GraspPlan(
         approach=APPROACH_HORIZONTAL,
         motor_trajectory=trajectory,
-        arm_compensation=tuple(zip(trajectory.samples, shift.tolist())),
+        arm_compensation_mm=shift,
         residual_uncompensated=float(residual),
         target_theta=target_theta,
         warnings=tuple(plan_warnings),
@@ -193,11 +208,11 @@ def plan_pinch_grasp(
         )
 
     trajectory = sample_trajectory(geom, theta_start, geom.theta_closed, window="ignore")
-    tips = forward_kinematics(geom, np.asarray(trajectory.samples), window="ignore").y_tip
+    tips = forward_kinematics(geom, trajectory.samples, window="ignore").y_tip
     return GraspPlan(
         approach=APPROACH_VERTICAL,
         motor_trajectory=trajectory,
-        arm_compensation=tuple(zip(trajectory.samples, (tip_start - tips).tolist())),
+        arm_compensation_mm=tip_start - tips,
         residual_uncompensated=0.0,
         target_theta=geom.theta_closed,
         warnings=(),
@@ -281,6 +296,5 @@ PLAN_TRAJECTORY_HEADER = "theta,arm_compensation_mm"
 
 def write_plan_csv(plan: GraspPlan, stream: IO[str]) -> None:
     """Write the compensation trajectory as CSV."""
-    stream.write(PLAN_TRAJECTORY_HEADER + "\n")
-    for theta, disp in plan.arm_compensation:
-        stream.write(f"{theta!r},{disp!r}\n")
+    write_columns(PLAN_TRAJECTORY_HEADER,
+                  (plan.motor_trajectory.samples, plan.arm_compensation_mm), stream)

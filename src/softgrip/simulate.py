@@ -24,8 +24,10 @@ from .geometry import (
     GripperGeometry,
     MotorTrajectory,
     OperatingRangeWarning,
+    Trace,
     forward_kinematics,
     sample_trajectory,
+    write_columns,
 )
 from .inputs import from_dict
 
@@ -84,11 +86,8 @@ class FreeRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class FreeTrace:
-    records: tuple[FreeRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
+class FreeTrace(Trace):
+    """Free-motion columns: a FreeRecord of arrays."""
 
 
 def simulate_free(
@@ -108,7 +107,7 @@ def simulate_free(
     columns equal the model columns bit for bit.
     """
     half_play = perturbation.backlash_width_rad / 2.0
-    theta = np.asarray(trajectory.samples)
+    theta = trajectory.samples
     if len(theta) > 1 and theta[1] < theta[0]:
         theta_eff = np.minimum(theta[0], theta + half_play)
     else:
@@ -123,10 +122,7 @@ def simulate_free(
         noise = np.clip(rng.normal(0.0, sd, (len(theta), 2)), -4 * sd, 4 * sd)
         x_sim = x_sim + noise[:, 0]
         y_sim = y_sim + noise[:, 1]
-    columns = (theta_eff, model.x_left, model.y_tip, x_sim, y_sim)
-    return FreeTrace(records=tuple(
-        map(FreeRecord, trajectory.samples, *(c.tolist() for c in columns))
-    ))
+    return FreeTrace(FreeRecord(theta, theta_eff, model.x_left, model.y_tip, x_sim, y_sim))
 
 
 @dataclass(frozen=True)
@@ -171,23 +167,20 @@ class SlideRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SlideTrace:
-    """Per-step sliding-contact records plus run summary.
+class SlideTrace(Trace):
+    """Per-step sliding-contact columns (a SlideRecord of arrays) plus run
+    summary.
 
     Invariants: y_sim = min(y_free, surface) at every step; phases occur
     in the order approach -> sliding -> closed with each possibly empty;
     flex is non-decreasing until the closed event and constant after it.
     """
 
-    records: tuple[SlideRecord, ...]
     surface_y_mm: float
     contact_theta: Optional[float]
     closure_theta: float
     peak_bend: float
     warnings: tuple[str, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
@@ -210,7 +203,7 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
         )
 
     trajectory = sample_trajectory(geom, cfg.theta_from, cfg.theta_to, cfg.step, window="ignore")
-    theta = np.asarray(trajectory.samples)
+    theta = trajectory.samples
     y_free = forward_kinematics(geom, theta, window="ignore").y_tip
     # The last sample is theta_to exactly, so its tip height is the default surface.
     surface = cfg.surface_y_mm if cfg.surface_y_mm is not None else float(y_free[-1])
@@ -229,14 +222,11 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
     phase = touching.astype(np.intp)
     phase[closure:] = PHASES.index(PHASE_CLOSED)
 
-    columns = (y_free, y_sim, bend, flex)
-    records = map(SlideRecord, trajectory.samples, *(c.tolist() for c in columns),
-                  map(PHASES.__getitem__, phase.tolist()))
     return SlideTrace(
-        records=tuple(records),
+        SlideRecord(theta, y_free, y_sim, bend, flex, np.array(PHASES, dtype=object)[phase]),
         surface_y_mm=surface,
-        contact_theta=trajectory.samples[np.argmax(touching)] if contacted[-1] else None,
-        closure_theta=trajectory.samples[closure],
+        contact_theta=float(theta[np.argmax(touching)]) if contacted[-1] else None,
+        closure_theta=float(theta[closure]),
         peak_bend=float(bend.max()),
         warnings=() if contacted[-1] else ("no_contact",),
     )
@@ -279,15 +269,9 @@ FREE_TRACE_HEADER = "theta,x_left_model,y_tip_model,x_left_sim,y_tip_sim"
 
 
 def write_slide_trace_csv(trace: SlideTrace, stream: IO[str]) -> None:
-    stream.write(SLIDE_TRACE_HEADER + "\n")
-    for r in trace.records:
-        stream.write(f"{r.theta!r},{r.y_free!r},{r.y_sim!r},{r.bend!r},{r.flex!r},{r.phase}\n")
+    write_columns(SLIDE_TRACE_HEADER, trace.columns, stream)
 
 
 def write_free_trace_csv(trace: FreeTrace, stream: IO[str]) -> None:
-    stream.write(FREE_TRACE_HEADER + "\n")
-    for r in trace.records:
-        stream.write(
-            f"{r.theta!r},{r.x_left_model!r},{r.y_tip_model!r},"
-            f"{r.x_left_sim!r},{r.y_tip_sim!r}\n"
-        )
+    names = FREE_TRACE_HEADER.split(",")  # every column but theta_eff
+    write_columns(FREE_TRACE_HEADER, [getattr(trace.columns, n) for n in names], stream)

@@ -399,6 +399,18 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert len((out / "fk_trace.csv").read_text().splitlines()) == 2
 
 
+def test_warning_is_one_short_stderr_line(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "softgrip", "fk", "--theta", "1e300",
+                           "--out", str(tmp_path / "run")], capture_output=True, text=True)
+    assert proc.returncode == 3  # the chain is undefined that far out
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("softgrip: warning:")] == [
+        "softgrip: warning: theta=1e+300 outside operating window [-1.4, -0.8]"
+    ]
+    assert not any("cli.py:" in line for line in lines)
+    assert all(len(line) <= 200 for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # malformed input exits 2 with one message line, never a traceback
 # ---------------------------------------------------------------------------
