@@ -114,7 +114,10 @@ class RunDir:
         return target
 
     def write_json(self, name: str, payload: dict) -> Path:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:  # NaN or infinity, which JSON cannot hold
+            raise ConfigError(f"cannot write {self.path / name}: {exc}") from exc
         return self.write(name, lambda stream: stream.write(text))
 
     def finalize(self, command: str, parameters: dict) -> None:

@@ -18,6 +18,7 @@ write_columns is the one CSV writer of every trace.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -26,6 +27,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
+from ._csvworker import Worker, format_rows
 from .errors import (
     ConfigError,
     DomainError,
@@ -59,6 +61,13 @@ MAX_LENGTH_MM = math.sqrt(sys.float_info.max) / 4
 
 # Rows write_columns formats and writes per stream.write call.
 CSV_CHUNK_ROWS = 4096
+
+# Fewest cells per share for which write_columns starts a worker process.  A
+# worker starts in ~35 ms; float.__repr__ takes ~1 us per value.
+PARALLEL_MIN_CELLS = 50_000
+
+# Formatting work of joining one cell into its row, in float.__repr__ calls.
+JOIN_WORK = 0.25
 
 FloatOrArray = float | np.ndarray  # chain inputs and outputs, elementwise
 
@@ -169,7 +178,7 @@ class MotorTrajectory:
     samples is held as a read-only float64 array, copied from any sequence
     of numbers.  A single-sample trajectory is allowed (degenerate
     hold-in-place plan); sample_trajectory itself always produces at least
-    two samples.  Every sample must be finite.
+    two samples.  Every sample must be finite, and step finite and positive.
     """
 
     samples: np.ndarray
@@ -181,6 +190,8 @@ class MotorTrajectory:
             raise InvalidRangeError("a trajectory needs a flat sequence of at least one sample")
         if not np.isfinite(samples).all():
             raise InvalidRangeError("trajectory samples must be finite")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise InvalidRangeError(f"step must be finite and positive, got {self.step}")
         diffs = np.diff(samples)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise InvalidRangeError("trajectory samples must be strictly monotone")
@@ -427,17 +438,67 @@ def fk_trace(
     return Trace(forward_kinematics(geom, trajectory.samples, window=window))
 
 
-def _texts(column: np.ndarray) -> list:
-    """The CSV text of each value of a column (see write_columns)."""
+def _runs(column: np.ndarray, convert):
+    """A chunk column as format_rows takes it, with its arrays passed through
+    convert: strings as a list; float64 as its distinct values and their
+    run lengths, or None when every run is one row.  Runs are found on the
+    int64 view, so 0.0 and -0.0 stay apart."""
     if column.dtype != np.float64:
         return column.tolist()
     bits = column.view(np.int64)
     new_run = bits[1:] != bits[:-1]
     if new_run.all():
-        return list(map(float.__repr__, column.tolist()))
+        return convert(column), None
     starts = np.flatnonzero(np.concatenate(([True], new_run)))
-    texts = np.array(list(map(float.__repr__, column[starts].tolist())), dtype=object)
-    return np.repeat(texts, np.diff(starts, append=len(column))).tolist()
+    return convert(column[starts]), convert(np.diff(starts, append=len(column)))
+
+
+def _chunks(columns: Sequence[np.ndarray], start: int, stop: int, convert):
+    """Rows [start, stop) as _runs columns, CSV_CHUNK_ROWS rows at a time."""
+    for lo in range(start, stop, CSV_CHUNK_ROWS):
+        yield [_runs(c[lo:min(lo + CSV_CHUNK_ROWS, stop)], convert) for c in columns]
+
+
+def _write_rows(row: str, columns, start: int, stop: int, stream: IO[str]) -> None:
+    for chunk in _chunks(columns, start, stop, np.ndarray.tolist):
+        stream.write(format_rows(row, chunk))
+
+
+def _share_bounds(columns: Sequence[np.ndarray], shares: int) -> list[int]:
+    """Row bounds of shares of equal formatting work: JOIN_WORK per cell
+    plus one per float.__repr__ call."""
+    work = np.full(len(columns[0]), JOIN_WORK * len(columns))
+    for column in columns:
+        if column.dtype == np.float64:
+            bits = column.view(np.int64)
+            work[1:] += bits[1:] != bits[:-1]
+    done = np.cumsum(work)
+    cuts = np.searchsorted(done, done[-1] * np.arange(1, shares) / shares)
+    return [0, *cuts.tolist(), len(work)]
+
+
+def _write_shares(row: str, columns: Sequence[np.ndarray], shares: int, stream: IO[str]):
+    """Write the rows as shares of equal work, all but the first by a Worker."""
+    bounds = _share_bounds(columns, shares)
+    workers = []
+    try:
+        for _ in range(shares - 1):
+            try:
+                workers.append(Worker(row))
+            except OSError:
+                workers.append(None)
+        for worker, start, stop in zip(workers, bounds[1:], bounds[2:]):
+            if worker is not None:
+                for chunk in _chunks(columns, start, stop, np.ndarray.tobytes):
+                    worker.send(chunk)
+                worker.seal()
+        _write_rows(row, columns, 0, bounds[1], stream)
+        for worker, start, stop in zip(workers, bounds[1:], bounds[2:]):
+            if worker is None or not worker.append_to(stream):
+                _write_rows(row, columns, start, stop, stream)
+    finally:
+        for worker in filter(None, workers):
+            worker.close()
 
 
 def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -> None:
@@ -449,12 +510,25 @@ def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -
     stay apart.  Any other column holds strings, written as they are.  Rows
     go to ``stream`` CSV_CHUNK_ROWS at a time, so the text of the whole
     table is never held at once.
+
+    A table of at least PARALLEL_MIN_CELLS cells per share is split into
+    one share of equal formatting work per CPU in os.sched_getaffinity
+    (one share where the platform lacks it).  This process writes the first
+    share; each later one is formatted by a worker process
+    (softgrip._csvworker) and appended in order.  A share whose worker
+    cannot start or fails is formatted here instead, so the text is the
+    same either way.
     """
     row = ",".join(["{}"] * len(columns)) + "\n"
     stream.write(header + "\n")
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        texts = [_texts(c[start:start + CSV_CHUNK_ROWS]) for c in columns]
-        stream.write("".join(map(row.format, *texts)))
+    shares = len(columns[0]) * len(columns) // PARALLEL_MIN_CELLS
+    if shares > 1:
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [None]
+        shares = min(shares, len(cpus))
+    if shares > 1:
+        _write_shares(row, columns, shares, stream)
+    else:
+        _write_rows(row, columns, 0, len(columns[0]), stream)
 
 
 FK_TRACE_HEADER = "theta,y_b,delta,b,alpha,x_left,x_right,y_tip"

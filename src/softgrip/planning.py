@@ -12,6 +12,7 @@ millimeters, converted once on entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Optional
@@ -117,12 +118,15 @@ def plan_envelope_grasp(
     stays fixed while closing; residual_fraction > 0 leaves that share of
     the motion uncompensated (recorded in residual_uncompensated).
 
-    Raises ObjectTooSmallError below the large-object class threshold
-    (route those to the pinch planner) and ObjectTooLargeError when the
-    object cannot fit inside the fully open fingers.
+    Raises ConfigError for a non-finite squeeze margin, ObjectTooSmallError
+    below the large-object class threshold (route those to the pinch
+    planner) and ObjectTooLargeError when the object cannot fit inside the
+    fully open fingers.
     """
     if not 0.0 <= residual_fraction <= 1.0:
         raise ConfigError(f"residual_fraction must be in [0, 1], got {residual_fraction}")
+    if not math.isfinite(squeeze_margin_mm):
+        raise ConfigError(f"squeeze margin must be finite, got {squeeze_margin_mm}")
     diameter = object_diameter_mm(est)
     ap_closed, ap_open = aperture_window(geom)
     if diameter < LARGE_OBJECT_THRESHOLD_MM - CLASS_TOLERANCE_MM:
@@ -183,9 +187,12 @@ def plan_pinch_grasp(
     centroid, placing the object between the cushion centers.
 
     surface_y_mm is the support surface coordinate measured along the
-    finger axis (larger = farther from the gripper body); the plan fails
-    with SurfaceConflictError when the fingertips cannot reach it.
+    finger axis (larger = farther from the gripper body); the default -inf
+    means no surface, and NaN raises ConfigError.  The plan fails with
+    SurfaceConflictError when the fingertips cannot reach the surface.
     """
+    if math.isnan(surface_y_mm):
+        raise ConfigError("surface_y_mm must not be nan")
     if not is_small_height(est):
         raise ObjectTooLargeError(
             f"object height {est.extents[2] * 1000.0:.1f} mm exceeds the "
@@ -260,8 +267,8 @@ def validate_plan(
     approaches only (it is not observed vertically).  Raises
     MissingCapacityDataError when the table has no covering entries.
     """
-    if not mass_kg >= 0:
-        raise ConfigError(f"mass must be non-negative, got {mass_kg}")
+    if not (math.isfinite(mass_kg) and mass_kg >= 0):
+        raise ConfigError(f"mass must be finite and non-negative, got {mass_kg}")
     diameter = object_diameter_mm(est)
     limit = capacity.payload_limit(diameter, plan.approach, hinged)
     margin = limit - mass_kg

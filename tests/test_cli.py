@@ -564,3 +564,49 @@ def test_bad_roi_fails_before_any_cloud_is_parsed(tmp_path, monkeypatch):
                  "--out", tmp_path / "run")
     assert rc == 2
     assert parsed == []
+
+
+# ---------------------------------------------------------------------------
+# non-finite flag values exit with their documented code, never as JSON NaN
+# ---------------------------------------------------------------------------
+
+def _plan(extents, *argv):
+    return lambda tmp_path: ["plan", "--estimate", write_estimate(tmp_path, extents), *argv]
+
+
+ENVELOPE, PINCH = (0.08, 0.08, 0.12), (0.03, 0.03, 0.006)
+
+NON_FINITE_FLAGS = {
+    "fk step is nan": (_args("fk", "--theta", -1.0, "--step", "nan"), 3),
+    "fk step is inf": (_args("fk", "--theta", -1.0, "--step", "inf"), 3),
+    "fk step is zero": (_args("fk", "--theta", -1.0, "--step", 0), 3),
+    "plan mass is inf": (_plan(ENVELOPE, "--mass", "inf"), 2),
+    "plan mass is nan": (_plan(PINCH, "--mass", "nan"), 2),
+    "plan squeeze margin is inf": (_plan(ENVELOPE, "--mass", 0.1,
+                                         "--squeeze-margin-mm", "inf"), 2),
+    "plan squeeze margin is -inf": (_plan(ENVELOPE, "--mass", 0.1,
+                                          "--squeeze-margin-mm=-inf"), 2),
+    "pinch surface is nan": (_plan(PINCH, "--mass", 0.02, "--surface-y-mm", "nan"), 2),
+}
+
+
+@pytest.mark.parametrize("build, code", list(NON_FINITE_FLAGS.values()),
+                         ids=list(NON_FINITE_FLAGS))
+def test_non_finite_flag_exits_with_one_message(tmp_path, capsys, build, code):
+    out = tmp_path / "run"
+    assert run_cli(*build(tmp_path), "--out", out) == code
+    err = capsys.readouterr().err
+    assert err.startswith("softgrip: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_flag_the_command_ignores_cannot_put_nan_into_the_manifest(tmp_path, capsys):
+    # An envelope plan ignores --surface-y-mm; the manifest records it as given.
+    out = tmp_path / "run"
+    rc = run_cli(*_plan(ENVELOPE, "--mass", 0.1, "--surface-y-mm", "nan")(tmp_path),
+                 "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("softgrip: cannot write ") and err.count("\n") == 1, err
+    assert "run_manifest.json" in err
+    assert not (out / "run_manifest.json").exists()
