@@ -85,8 +85,10 @@ class RunConfig:
 class RunDir:
     """Reads the inputs and writes the artifacts and provenance of one invocation."""
 
-    def __init__(self, out_dir: str):
-        self.path = Path(out_dir)
+    def __init__(self, args):
+        self.path = Path(args.out)
+        self.command = args.command
+        self.parameters = _public_parameters(args)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
 
@@ -102,7 +104,10 @@ class RunDir:
 
     def write(self, name: str, fill: Callable[[IO[str]], object]) -> Path:
         """Write one artifact by streaming ``fill(stream)`` into its file; the
-        directory appears with the first of them."""
+        directory appears with the first of them, once the parameters are
+        known to fit the run manifest."""
+        if not self.outputs:
+            self._json_text("run_manifest.json", self.parameters)
         target = self.path / name
         try:
             self.path.mkdir(parents=True, exist_ok=True)
@@ -113,17 +118,20 @@ class RunDir:
         self.outputs.append(name)
         return target
 
-    def write_json(self, name: str, payload: dict) -> Path:
+    def _json_text(self, name: str, payload: dict) -> str:
         try:
-            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError as exc:  # NaN or infinity, which JSON cannot hold
             raise ConfigError(f"cannot write {self.path / name}: {exc}") from exc
+
+    def write_json(self, name: str, payload: dict) -> Path:
+        text = self._json_text(name, payload)
         return self.write(name, lambda stream: stream.write(text))
 
-    def finalize(self, command: str, parameters: dict) -> None:
+    def finalize(self) -> None:
         manifest = {
-            "command": command,
-            "parameters": parameters,
+            "command": self.command,
+            "parameters": self.parameters,
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": sorted(self.outputs),
         }
@@ -147,7 +155,7 @@ def _public_parameters(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_fk(args, cfg: RunConfig) -> int:
-    run = RunDir(args.out)
+    run = RunDir(args)
     geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
     window = "strict" if args.strict else "warn"
 
@@ -167,7 +175,7 @@ def cmd_fk(args, cfg: RunConfig) -> int:
     out_path = run.write(
         "fk_trace.csv", lambda stream: geometry_mod.write_fk_trace_csv(trace, stream)
     )
-    run.finalize("fk", _public_parameters(args))
+    run.finalize()
     print(f"fk: wrote {len(trace)} rows to {out_path}")
     return EXIT_OK
 
@@ -188,7 +196,7 @@ def _box(flag: str) -> Box:
 
 
 def cmd_estimate(args, cfg: RunConfig) -> int:
-    run = RunDir(args.out)
+    run = RunDir(args)
     geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
     roi = _box(args.roi) if args.roi else cfg.roi
     workspace = cfg.workspace_limits or DEFAULT_WORKSPACE
@@ -228,7 +236,7 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
         "stage_counts": stage_counts,
     }
     out_path = run.write_json("estimate.json", payload)
-    run.finalize("estimate", _public_parameters(args))
+    run.finalize()
     ex, ey, ez = est.extents
     print(
         f"estimate: extents ({ex:.4f}, {ey:.4f}, {ez:.4f}) m, "
@@ -243,7 +251,7 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_plan(args, cfg: RunConfig) -> int:
-    run = RunDir(args.out)
+    run = RunDir(args)
     geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
     capacity = _load_model(args, cfg, run, "capacity", load_capacity_model,
                            default_capacity_model)
@@ -274,7 +282,7 @@ def cmd_plan(args, cfg: RunConfig) -> int:
     out_path = run.write_json(
         "plan.json", {"plan": plan.to_dict(), "validation": report.to_dict()}
     )
-    run.finalize("plan", _public_parameters(args))
+    run.finalize()
     verdict = "pass" if report.passed else "FAIL"
     print(
         f"plan: {plan.approach} grasp to theta {plan.target_theta:.4f} rad, "
@@ -288,7 +296,7 @@ def cmd_plan(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate_slide(args, cfg: RunConfig) -> int:
-    run = RunDir(args.out)
+    run = RunDir(args)
     geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
 
     block = dict(cfg.slide)
@@ -308,7 +316,7 @@ def cmd_simulate_slide(args, cfg: RunConfig) -> int:
         "warnings": list(trace.warnings),
     }
     out_path = run.write_json("slide_summary.json", summary)
-    run.finalize("simulate-slide", _public_parameters(args))
+    run.finalize()
 
     if trace.contact_theta is None:
         print("simulate-slide: no contact over the sweep")

@@ -23,11 +23,11 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain, repeat
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from ._csvworker import Worker, format_rows
 from .errors import (
     ConfigError,
     DomainError,
@@ -62,8 +62,9 @@ MAX_LENGTH_MM = math.sqrt(sys.float_info.max) / 4
 # Rows write_columns formats and writes per stream.write call.
 CSV_CHUNK_ROWS = 4096
 
-# Fewest cells per share for which write_columns starts a worker process.  A
-# worker starts in ~35 ms; float.__repr__ takes ~1 us per value.
+# Fewest cells per share for which write_columns forks a child.  fork, _exit
+# and waitpid take ~4.4 ms in a 36 MB process holding a 60k-row trace (median
+# of 40, 2-vCPU VM); float.__repr__ takes ~1 us per value.
 PARALLEL_MIN_CELLS = 50_000
 
 # Formatting work of joining one cell into its row, in float.__repr__ calls.
@@ -338,10 +339,13 @@ def inverse_kinematics(geom: GripperGeometry, target_aperture: float) -> float:
     branches are mapped back through the slider-crank, clamped to the
     window, and the one whose aperture is nearest the target is returned.
     Raises OutOfRangeError when the target lies outside the achievable
-    [closed, open] aperture window.
+    [closed, open] aperture window by more than rounding: a target
+    interpolated to an end of the window, ap_closed + 1.0 * (ap_open -
+    ap_closed), can land 1.5 ulp past it.
     """
     ap_lo, ap_hi = sorted(aperture_window(geom))
-    if not ap_lo <= target_aperture <= ap_hi:
+    slack = 4 * math.ulp(max(abs(ap_lo), abs(ap_hi)))
+    if not ap_lo - slack <= target_aperture <= ap_hi + slack:
         raise OutOfRangeError(
             f"target aperture {target_aperture:.6f} mm outside achievable "
             f"[{ap_lo:.6f}, {ap_hi:.6f}] mm"
@@ -438,30 +442,29 @@ def fk_trace(
     return Trace(forward_kinematics(geom, trajectory.samples, window=window))
 
 
-def _runs(column: np.ndarray, convert):
-    """A chunk column as format_rows takes it, with its arrays passed through
-    convert: strings as a list; float64 as its distinct values and their
-    run lengths, or None when every run is one row.  Runs are found on the
-    int64 view, so 0.0 and -0.0 stay apart."""
+def _texts(column: np.ndarray) -> list[str]:
+    """The cells of a chunk column as text, as write_columns writes them."""
     if column.dtype != np.float64:
         return column.tolist()
     bits = column.view(np.int64)
     new_run = bits[1:] != bits[:-1]
     if new_run.all():
-        return convert(column), None
+        return list(map(float.__repr__, column.tolist()))
     starts = np.flatnonzero(np.concatenate(([True], new_run)))
-    return convert(column[starts]), convert(np.diff(starts, append=len(column)))
+    texts = map(float.__repr__, column[starts].tolist())
+    lengths = np.diff(starts, append=len(column)).tolist()
+    return list(chain.from_iterable(map(repeat, texts, lengths)))
 
 
-def _chunks(columns: Sequence[np.ndarray], start: int, stop: int, convert):
-    """Rows [start, stop) as _runs columns, CSV_CHUNK_ROWS rows at a time."""
-    for lo in range(start, stop, CSV_CHUNK_ROWS):
-        yield [_runs(c[lo:min(lo + CSV_CHUNK_ROWS, stop)], convert) for c in columns]
+def format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
+    """The CSV text of one chunk of rows: the one formatter of every CSV row."""
+    return "".join(map(row.format, *map(_texts, columns)))
 
 
 def _write_rows(row: str, columns, start: int, stop: int, stream: IO[str]) -> None:
-    for chunk in _chunks(columns, start, stop, np.ndarray.tolist):
-        stream.write(format_rows(row, chunk))
+    """Write rows [start, stop), CSV_CHUNK_ROWS rows per stream.write call."""
+    for lo in range(start, stop, CSV_CHUNK_ROWS):
+        stream.write(format_rows(row, [c[lo:min(lo + CSV_CHUNK_ROWS, stop)] for c in columns]))
 
 
 def _share_bounds(columns: Sequence[np.ndarray], shares: int) -> list[int]:
@@ -478,27 +481,53 @@ def _share_bounds(columns: Sequence[np.ndarray], shares: int) -> list[int]:
 
 
 def _write_shares(row: str, columns: Sequence[np.ndarray], shares: int, stream: IO[str]):
-    """Write the rows as shares of equal work, all but the first by a Worker."""
+    """Write the rows as shares of equal work, each after the first formatted
+    by a forked child into an unlinked temporary file and appended in order.
+
+    A child makes no BLAS call, only Python formatting and numpy slicing and
+    comparisons, so the idle threads of OpenBLAS's pool are no fork hazard.
+    Python 3.12 and later warn of fork in a process with threads: a
+    DeprecationWarning, which is ignored by default outside __main__.
+    """
+    import signal  # here, so that a table too small to split imports nothing more
+    import tempfile
+
     bounds = _share_bounds(columns, shares)
-    workers = []
+    later = list(zip(bounds[1:], bounds[2:]))
+    pids, files = [None] * len(later), [None] * len(later)
     try:
-        for _ in range(shares - 1):
+        for i, (start, stop) in enumerate(later):
             try:
-                workers.append(Worker(row))
+                files[i] = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+                pids[i] = os.fork()
             except OSError:
-                workers.append(None)
-        for worker, start, stop in zip(workers, bounds[1:], bounds[2:]):
-            if worker is not None:
-                for chunk in _chunks(columns, start, stop, np.ndarray.tobytes):
-                    worker.send(chunk)
-                worker.seal()
+                continue
+            if pids[i] == 0:
+                # The child leaves only through os._exit: it never returns into
+                # the caller, runs this finally or flushes the caller's stream.
+                try:
+                    _write_rows(row, columns, start, stop, files[i])
+                    files[i].flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
         _write_rows(row, columns, 0, bounds[1], stream)
-        for worker, start, stop in zip(workers, bounds[1:], bounds[2:]):
-            if worker is None or not worker.append_to(stream):
-                _write_rows(row, columns, start, stop, stream)
+        for i, (start, stop) in enumerate(later):
+            if pids[i] is not None:
+                status = os.waitpid(pids[i], 0)[1]
+                pids[i] = None
+                if status == 0:
+                    files[i].seek(0)
+                    while block := files[i].read(1 << 16):
+                        stream.write(block)
+                    continue
+            _write_rows(row, columns, start, stop, stream)
     finally:
-        for worker in filter(None, workers):
-            worker.close()
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for file in filter(None, files):
+            file.close()
 
 
 def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -> None:
@@ -514,10 +543,10 @@ def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -
     A table of at least PARALLEL_MIN_CELLS cells per share is split into
     one share of equal formatting work per CPU in os.sched_getaffinity
     (one share where the platform lacks it).  This process writes the first
-    share; each later one is formatted by a worker process
-    (softgrip._csvworker) and appended in order.  A share whose worker
-    cannot start or fails is formatted here instead, so the text is the
-    same either way.
+    share; each later one is formatted by a child forked from it, from the
+    same columns with the same format_rows, and appended in order.  A share
+    whose child cannot be forked or fails is formatted here instead, so the
+    text is the same either way.
     """
     row = ",".join(["{}"] * len(columns)) + "\n"
     stream.write(header + "\n")

@@ -9,7 +9,6 @@ return values fails here rather than silently in a traced run.
 import importlib
 import importlib.util
 import os
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,21 +62,22 @@ def test_driven_sweep_runs(spans):
 
 def test_written_bytes_are_the_file_size_on_the_worker_path(spans, geom, tmp_path,
                                                             monkeypatch):
-    # A 1e-5 rad trace is split across worker processes on two CPUs; the
-    # parent appends their text, so tell() still ends at the file size.
-    started = []
-    popen = subprocess.Popen
+    # A 1e-5 rad trace is split across a forked child on two CPUs; the
+    # parent appends its text, so tell() still ends at the file size.
+    forked, fork = [], os.fork
 
-    def spy(*args, **kwargs):
-        started.append(popen(*args, **kwargs))
-        return started[-1]
+    def spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(subprocess, "Popen", spy)
+    monkeypatch.setattr(os, "fork", spy)
     trace = fk_trace(geom, sample_trajectory(geom, -0.8, -1.4, 1e-5))
     path = tmp_path / "fk.csv"
     with path.open("w", encoding="utf-8") as stream:
         write_fk_trace_csv(trace, stream)
         written = spans._written((trace, stream), None)
-    assert [p.returncode for p in started] == [0]
+    assert len(forked) == 1
     assert written == {"bytes": path.stat().st_size}

@@ -610,3 +610,24 @@ def test_flag_the_command_ignores_cannot_put_nan_into_the_manifest(tmp_path, cap
     assert err.startswith("softgrip: cannot write ") and err.count("\n") == 1, err
     assert "run_manifest.json" in err
     assert not (out / "run_manifest.json").exists()
+
+
+# Flags the planner ignores or takes as given, recorded as given in the manifest.
+UNRECORDABLE_FLAGS = {
+    "envelope surface is nan": _plan(ENVELOPE, "--mass", 0.1, "--surface-y-mm", "nan"),
+    "pinch squeeze margin is inf": _plan(PINCH, "--mass", 0.02, "--squeeze-margin-mm", "inf"),
+    "pinch residual fraction is nan": _plan(PINCH, "--mass", 0.02,
+                                            "--residual-fraction", "nan"),
+    "pinch surface is -inf": _plan(PINCH, "--mass", 0.02, "--surface-y-mm=-inf"),
+}
+
+
+@pytest.mark.parametrize("build", list(UNRECORDABLE_FLAGS.values()),
+                         ids=list(UNRECORDABLE_FLAGS))
+def test_a_flag_the_manifest_cannot_hold_leaves_no_run_directory(tmp_path, capsys, build):
+    out = tmp_path / "run"
+    assert run_cli(*build(tmp_path), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("softgrip: cannot write ") and err.count("\n") == 1, err
+    assert "run_manifest.json" in err
+    assert not out.exists()
