@@ -203,8 +203,11 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
     manifest_path = Path(args.manifest)
     views = load_scene_manifest(run.read_json(manifest_path), f"manifest {manifest_path}")
 
+    # Each view is cropped as soon as it is in the global frame, so only the
+    # kept points are held and merged.  Cropping keeps order point by point,
+    # so this is the crop of the merged views.
     stage_counts: dict[str, int] = {}
-    global_clouds = []
+    kept = []
     for i, (cloud_rel, pose) in enumerate(views):
         cloud_path = manifest_path.parent / cloud_rel
         try:  # an unreadable cloud raises ConfigError, which names it already
@@ -212,14 +215,17 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
         except ParseError as exc:
             raise ParseError(f"{cloud_path}: {exc}") from exc
         stage_counts[f"view_{i}_parsed"] = len(cloud)
-        global_clouds.append(transform_cloud(cloud, pose))
+        cloud = transform_cloud(cloud, pose)
+        kept.append(cloud if roi is None else crop_cloud(cloud, roi))
+        del cloud
 
-    merged = merge_clouds(global_clouds)
-    stage_counts["merged"] = len(merged)
-    print(f"estimate: merged {len(merged)} points from {len(views)} view(s)")
+    merged = merge_clouds(kept)
+    del kept
+    total = sum(stage_counts.values())
+    stage_counts["merged"] = total
+    print(f"estimate: merged {total} points from {len(views)} view(s)")
 
     if roi is not None:
-        merged = crop_cloud(merged, roi)
         stage_counts["cropped"] = len(merged)
         print(f"estimate: {len(merged)} points inside the region of interest")
         if merged.is_empty:

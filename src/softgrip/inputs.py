@@ -48,12 +48,12 @@ def read_package_json(name: str):
 
 @functools.cache
 def _schema(cls) -> tuple[dict, list]:
-    """(type hint of each init field, names of the fields without a default)."""
+    """(checker of each init field, names of the fields without a default)."""
     hints = typing.get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.init]
     required = [f.name for f in fields if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING]
-    return {f.name: hints[f.name] for f in fields}, required
+    return {f.name: _checker(hints[f.name]) for f in fields}, required
 
 
 def from_dict(cls, raw, what: str, error: type = ConfigError):
@@ -83,42 +83,59 @@ def _name(path: tuple) -> str:
 def _build(cls, raw, path: tuple, error: type):
     if not isinstance(raw, dict):
         raise error(f"{_name(path)} must be a JSON object, got {type(raw).__name__}")
-    hints, required = _schema(cls)
-    unknown = [k for k in raw if k not in hints]
+    checkers, required = _schema(cls)
+    unknown = [k for k in raw if k not in checkers]
     if unknown:
         raise error(f"{_name(path)} has unknown keys: {', '.join(map(repr, unknown))}")
     missing = [k for k in required if k not in raw]
     if missing:
         raise error(f"{_name(path)} is missing keys: {', '.join(map(repr, missing))}")
-    kwargs = {k: _typed(hints[k], v, path, k, error) for k, v in raw.items()}
+    kwargs = {k: checkers[k](v, path, k, error) for k, v in raw.items()}
     try:
         return cls(**kwargs)
     except SoftgripError as exc:
         raise type(exc)(f"{_name(path)}: {exc}") from exc
 
 
-def _typed(hint, value, path: tuple, step, error: type):
-    """``value`` checked against ``hint``; it sits at ``path`` + ``step``."""
+def _finite(value, path: tuple, step, error: type) -> float:
+    # The range check also rejects NaN and ints too large for a float.
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    raise error(f"{_name((*path, step))} must be a finite number, got {value!r}")
+
+
+def _checker(hint):
+    """The check of a value against ``hint``, resolved once per field: a
+    function (value, path, step, error) of a value that sits at ``path`` +
+    ``step``, returning the value to store."""
     if hint is float:
-        # The range check also rejects NaN and ints too large for a float.
-        if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            return float(value)
-        raise error(f"{_name((*path, step))} must be a finite number, got {value!r}")
-    if type(value) is hint:  # exact, so a bool is not an int
-        return value
+        return _finite
     args = typing.get_args(hint)
     if type(None) in args:  # Optional[X]
         (inner,) = (a for a in args if a is not type(None))
-        return None if value is None else _typed(inner, value, path, step, error)
+        check = _checker(inner)
+        return lambda value, path, step, error: (
+            None if value is None else check(value, path, step, error))
     if typing.get_origin(hint) is tuple:
         variadic = args[1:] == (Ellipsis,)
-        if not isinstance(value, list) or not variadic and len(value) != len(args):
-            size = "" if variadic else f" of {len(args)} values"
-            raise error(f"{_name((*path, step))} must be a list{size}, got {value!r}")
-        types = args[:1] * len(value) if variadic else args
-        path = (*path, step)
-        return tuple(_typed(t, v, path, i, error) for i, (t, v) in enumerate(zip(types, value)))
-    if dataclasses.is_dataclass(hint):
-        return _build(hint, value, (*path, step), error)
-    raise error(f"{_name((*path, step))} must be {hint.__name__}, got {value!r}")
+        checks = [_checker(t) for t in (args[:1] if variadic else args)]
+        size = "" if variadic else f" of {len(args)} values"
+
+        def check_tuple(value, path, step, error):
+            if not isinstance(value, list) or not variadic and len(value) != len(checks):
+                raise error(f"{_name((*path, step))} must be a list{size}, got {value!r}")
+            path = (*path, step)
+            items = checks * len(value) if variadic else checks
+            return tuple(c(v, path, i, error) for i, (c, v) in enumerate(zip(items, value)))
+        return check_tuple
+
+    nested = dataclasses.is_dataclass(hint)
+
+    def check_exact(value, path, step, error):
+        if type(value) is hint:  # exact, so a bool is not an int
+            return value
+        if nested:
+            return _build(hint, value, (*path, step), error)
+        raise error(f"{_name((*path, step))} must be {hint.__name__}, got {value!r}")
+    return check_exact

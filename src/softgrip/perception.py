@@ -9,10 +9,11 @@ with FIELDS x y z.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -208,44 +209,35 @@ _PCD_HEADER_KEYS = {
     "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS", "DATA",
 }
 
+# Bytes that np.loadtxt and the per-line parser split and strip alike:
+# printable ASCII, tab and newline.  A '\r' is checked apart, since only
+# "\r\n" ends a line the same way for both.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 
-def _meaningful_lines(lines: list[str], start: int = 0):
-    """Yield (1-based line number, stripped text) of each line from lines[start:]
-    that is neither blank nor a '#' comment."""
-    for line_no, raw in enumerate(itertools.islice(lines, start, None), start + 1):
+
+def _meaningful_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped text) of each line that is
+    neither blank nor a '#' comment."""
+    for line_no, raw in enumerate(lines, 1):
         text = raw.strip()
         if text and not text.startswith("#"):
             yield line_no, text
 
 
-def _parse_records(lines: list[str], start: int = 0) -> np.ndarray:
-    """The "x y z" records of lines[start:] as an (n, 3) float64 array.
+def _is_pcd(first: str) -> bool:
+    """Whether the first meaningful line opens a PCD header."""
+    return first.split()[0].upper() == "VERSION"
 
-    All records (the lines _meaningful_lines yields) go through one
-    vectorised conversion first.  Its result is kept only if it holds
-    exactly one row of three finite values per record; on any other outcome
-    the per-line parser converts every record and raises ParseError at the
-    first bad one.  The fast path thus accepts only input the per-line
-    parser accepts, and yields the same doubles.
+
+def _pcd_header(lines: Iterator[tuple[int, str]]) -> tuple[int, int] | None:
+    """Check a PCD header, consuming meaningful lines through its DATA line.
+
+    Returns (declared point count, line number of POINTS), or None when the
+    header declares no count.
     """
-    texts = [t for t in map(str.strip, itertools.islice(lines, start, None)) if t and t[0] != "#"]
-    if texts:
-        try:
-            pts = np.loadtxt(texts, comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if pts.shape == (len(texts), 3) and np.isfinite(pts).all():
-                return pts
-    records = [_parse_xyz_record(text.split(), n) for n, text in _meaningful_lines(lines, start)]
-    return np.array(records, dtype=np.float64).reshape(len(records), 3)
-
-
-def _parse_pcd(lines: list[str], frame_id: str) -> PointCloud:
     header: dict[str, list[str]] = {}
     header_lines: dict[str, int] = {}
-    data_start = None
-    for line_no, text in _meaningful_lines(lines):
+    for line_no, text in lines:
         tokens = text.split()
         key = tokens[0].upper()
         if key not in _PCD_HEADER_KEYS:
@@ -253,9 +245,8 @@ def _parse_pcd(lines: list[str], frame_id: str) -> PointCloud:
         header[key] = tokens[1:]
         header_lines[key] = line_no
         if key == "DATA":
-            data_start = line_no  # the index of the line after DATA
             break
-    if data_start is None:
+    else:
         raise ParseError("PCD header has no DATA line")
 
     fields = [f.lower() for f in header.get("FIELDS", [])]
@@ -276,39 +267,99 @@ def _parse_pcd(lines: list[str], frame_id: str) -> PointCloud:
     sizes = header.get("SIZE", [])
     if sizes and any(s not in ("4", "8") for s in sizes):
         raise ParseError(f"unsupported SIZE {' '.join(sizes)}", line=header_lines.get("SIZE"))
+    if "POINTS" not in header:
+        return None
+    try:
+        return int(header["POINTS"][0]), header_lines["POINTS"]
+    except (IndexError, ValueError):
+        raise ParseError("malformed POINTS value", line=header_lines["POINTS"]) from None
 
-    declared = None
-    if "POINTS" in header:
-        try:
-            declared = int(header["POINTS"][0])
-        except (IndexError, ValueError):
-            raise ParseError("malformed POINTS value", line=header_lines["POINTS"]) from None
 
-    points = _parse_records(lines, data_start)
-    if declared is not None and declared != len(points):
+def _parse_lines(text: str) -> np.ndarray:
+    """The per-line parser: every record through float(), raising ParseError
+    with the line and column of the first malformed one."""
+    lines = _meaningful_lines(text.splitlines())
+    first = next(lines, None)
+    if first is None:
+        return np.empty((0, 3))
+    lines = itertools.chain([first], lines)
+    declared = _pcd_header(lines) if _is_pcd(first[1]) else None
+    records = [_parse_xyz_record(record.split(), n) for n, record in lines]
+    points = np.array(records, dtype=np.float64).reshape(len(records), 3)
+    if declared is not None and declared[0] != len(points):
         raise ParseError(
-            f"POINTS declares {declared} records but data has {len(points)}",
-            line=header_lines["POINTS"],
+            f"POINTS declares {declared[0]} records but data has {len(points)}",
+            line=declared[1],
         )
-    return PointCloud(points, frame_id)
+    return points
+
+
+def _skip_filler(stream: IO[bytes]) -> str:
+    """Read past blank and '#' lines; return the next line stripped ("" at
+    the end), leaving the stream at its start."""
+    while line := stream.readline():
+        text = line.strip()
+        if text and not text.startswith(b"#"):
+            stream.seek(-len(line), io.SEEK_CUR)
+            return text.decode()
+    return ""
+
+
+def _streamed(raw: bytes) -> np.ndarray | None:
+    """The points of a plain view, or None to leave it to _parse_lines.
+
+    Only the leading comments, or the PCD header through DATA, are read line
+    by line; np.loadtxt converts the rest straight from the bytes.  The
+    result is kept only if the input holds nothing but _PLAIN_BYTES and
+    "\r\n", every record is three finite numbers and a PCD count matches,
+    so it is the per-line parser's result for the same input, bit for bit.
+    """
+    rest = raw.translate(None, _PLAIN_BYTES)
+    if not rest.count(b"\r") == len(rest) == raw.count(b"\r\n"):
+        return None
+    stream = io.BytesIO(raw)
+    first = _skip_filler(stream)
+    declared = None
+    if first and _is_pcd(first):
+        lines = map(bytes.decode, iter(stream.readline, b""))
+        try:
+            declared = _pcd_header(_meaningful_lines(lines))
+        except ParseError:
+            return None
+        first = _skip_filler(stream)
+    if not first:
+        points = np.empty((0, 3))
+    else:
+        try:
+            points = np.loadtxt(stream, comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+        if points.shape[1] != 3 or not np.isfinite(points).all():
+            return None
+    if declared is not None and declared[0] != len(points):
+        return None
+    return points
 
 
 def parse_cloud(data: bytes | str, frame_id: str = CAMERA_FRAME) -> PointCloud:
     """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset.
 
-    Raises ParseError with the line/column of the first malformed record.
+    A plain view is converted by np.loadtxt straight from its bytes (see
+    _streamed); any other input, and any input that raises, goes through
+    the per-line parser.  Raises ParseError with the line/column of the
+    first malformed record.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-
-    lines = data.splitlines()
-    first = next(_meaningful_lines(lines), None)
-    if first is not None and first[1].split()[0].upper() == "VERSION":
-        return _parse_pcd(lines, frame_id)
-    return PointCloud(_parse_records(lines), frame_id)
+    # Any str encodes; one that is not plain ASCII then fails the guard.
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    points = _streamed(raw)
+    if points is None:
+        if isinstance(data, bytes):
+            try:
+                data = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+        points = _parse_lines(data)
+    return PointCloud(points, frame_id)
 
 
 def load_cloud(path, frame_id: str = CAMERA_FRAME) -> PointCloud:

@@ -9,7 +9,16 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from softgrip import make_cylinder, transform_cloud, write_cloud_xyz
+from softgrip import (
+    Box,
+    crop_cloud,
+    estimate_object,
+    make_cylinder,
+    merge_clouds,
+    transform_cloud,
+    uniform_box_noise,
+    write_cloud_xyz,
+)
 from softgrip.cli import main
 from softgrip.perception import PointCloud, ScenePose
 
@@ -145,6 +154,39 @@ def test_estimate_roi_filters_clutter(tmp_path):
                    "--roi=-0.06,-0.06,-0.01,0.06,0.06,0.13", "--out", out) == 0
     payload = json.loads((out / "estimate.json").read_text())
     assert payload["stage_counts"]["cropped"] == 2000
+
+
+def test_views_cropped_before_merging_give_the_crop_of_the_merged_cloud(tmp_path, capsys):
+    # Each camera view holds part of the cylinder plus clutter outside the box.
+    cyl = make_cylinder(diameter_m=0.08, height_m=0.12, n_points=3000, seed=4,
+                        center=(0.0, 0.0, 0.06))
+    clutter = uniform_box_noise(400, side_m=0.3, seed=5, center=(0.3, 0.0, 0.06))
+    views, global_views = [], []
+    for i, mask in enumerate((cyl.points[:, 0] <= 0.01, cyl.points[:, 0] >= -0.01)):
+        pose = rigid_pose(40 + i)
+        part = np.vstack([cyl.points[mask], clutter.points[i::2]])
+        camera = transform_cloud(PointCloud(part), ScenePose(np.linalg.inv(pose)))
+        views.append(write_scene(tmp_path, camera, f"view{i}.xyz", pose))
+        global_views.append(transform_cloud(camera, ScenePose(pose)))
+    manifest = write_manifest(tmp_path, views)
+    roi = Box((-0.06, -0.06, -0.01), (0.06, 0.06, 0.13))
+    out = tmp_path / "run"
+    assert run_cli("estimate", "--manifest", manifest, "--trim", 0.01,
+                   "--roi=-0.06,-0.06,-0.01,0.06,0.06,0.13", "--out", out) == 0
+
+    merged = merge_clouds(global_views)
+    cropped = crop_cloud(merged, roi)
+    assert 0 < len(cropped) < len(merged)
+    payload = json.loads((out / "estimate.json").read_text())
+    assert payload["estimate"] == estimate_object(cropped, trim_fraction=0.01).to_dict()
+    assert payload["stage_counts"] == {
+        "view_0_parsed": len(global_views[0]), "view_1_parsed": len(global_views[1]),
+        "merged": len(merged), "cropped": len(cropped),
+        "retained": payload["estimate"]["point_count"],
+    }
+    stdout = capsys.readouterr().out
+    assert f"merged {len(merged)} points from 2 view(s)" in stdout
+    assert f"{len(cropped)} points inside the region of interest" in stdout
 
 
 def test_estimate_empty_after_crop_exits_4(tmp_path):

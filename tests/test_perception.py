@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from softgrip import (
     uniform_box_noise,
     write_cloud_xyz,
 )
+from softgrip import perception
 from softgrip.perception import GLOBAL_FRAME
 
 
@@ -116,6 +118,70 @@ def test_generated_cylinder_roundtrips_bit_identically():
     assert len(text.splitlines()) == 5000
     reparsed = parse_cloud(text, frame_id=cloud.frame_id)
     assert np.array_equal(reparsed.points, cloud.points)
+
+
+# ---------------------------------------------------------------------------
+# streamed parsing: plain views go from their bytes to np.loadtxt
+# ---------------------------------------------------------------------------
+
+CLEAN_POINTS = [[0.1, 0.2, 0.3], [-1.0, 0.002, 4.0]]
+CLEAN_PCD = b"VERSION .7\nFIELDS x y z\nPOINTS 2\nDATA ascii\n0.1 0.2 0.3\n-1 2e-3 4\n"
+
+
+def _fail(*args):
+    raise AssertionError("per-line parser reached")
+
+
+@pytest.mark.parametrize("data", [
+    b"# view\n0.1 0.2 0.3\n\n-1 2e-3 4\n",
+    b"# view\r\n0.1 0.2 0.3\r\n\r\n-1 2e-3 4\r\n",
+    b"\t\n  # view\n  0.1\t0.2 0.3  \n-1 2e-3 4",
+    CLEAN_PCD,
+    CLEAN_PCD.replace(b"\n", b"\r\n"),
+    b"# .PCD v0.7\n\nVERSION .7\n# fields\nFIELDS x y z\nPOINTS 2\nDATA ascii\n\n0.1 0.2 0.3\n-1 2e-3 4\n",
+    "# view\r\n0.1 0.2 0.3\r\n-1 2e-3 4\r\n",
+])
+def test_clean_views_never_reach_the_per_line_parser(monkeypatch, data):
+    monkeypatch.setattr(perception, "_parse_lines", _fail)
+    assert parse_cloud(data).points.tolist() == CLEAN_POINTS
+
+
+@pytest.mark.parametrize("data", [
+    b"0.1 0.2 0.3\n# between records\n-1 2e-3 4\n",
+    "# caf\u00e9\n0.1 0.2 0.3\n-1 2e-3 4\n".encode("utf-8"),
+    b"# view\r0.1 0.2 0.3\r-1 2e-3 4\r",
+    CLEAN_PCD + b"# trailing\n",
+])
+def test_other_views_go_to_the_per_line_parser_and_give_the_same_points(monkeypatch, data):
+    calls = []
+    per_line = perception._parse_lines
+    monkeypatch.setattr(perception, "_parse_lines", lambda text: calls.append(text) or per_line(text))
+    assert parse_cloud(data).points.tolist() == CLEAN_POINTS
+    assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def large_views():
+    """A seeded 200k-point XYZ view, its \\r\\n twin and a PCD twin, as bytes."""
+    points = np.random.default_rng(10).normal(size=(200_000, 3))
+    body = "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in points.tolist()).encode()
+    xyz = b"# seeded view\n" + body
+    pcd = b"VERSION .7\nFIELDS x y z\nPOINTS %d\nDATA ascii\n" % len(points) + body
+    return points, {"xyz": xyz, "crlf": xyz.replace(b"\n", b"\r\n"), "pcd": pcd}
+
+
+@pytest.mark.parametrize("kind", ["xyz", "crlf", "pcd"])
+def test_parsing_a_large_view_allocates_at_most_half_again_its_size(large_views, kind):
+    points, views = large_views
+    data = views[kind]
+    tracemalloc.start()
+    try:
+        cloud = parse_cloud(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cloud.points.tobytes() == points.tobytes()
+    assert peak <= 1.5 * len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ whether PYTHONDONTWRITEBYTECODE was set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -32,6 +33,17 @@ WORKTREE = ROOT / ".bench_work" / "parent"
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+@contextlib.contextmanager
+def worktree(base: str, path: Path = WORKTREE):
+    """Revision ``base`` checked out with ``git worktree`` at ``path``, removed at exit."""
+    path.parent.mkdir(exist_ok=True)
+    git("worktree", "add", "--detach", "--force", str(path), git("rev-parse", base))
+    try:
+        yield path
+    finally:
+        git("worktree", "remove", "--force", str(path))
 
 
 def bench(tree: Path, args) -> tuple[dict, dict]:
@@ -85,21 +97,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     direction = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    base = git("rev-parse", args.base)
-    WORKTREE.parent.mkdir(exist_ok=True)
-    git("worktree", "add", "--detach", "--force", str(WORKTREE), base)
     runs = {"parent": ([], []), "change": ([], [])}
-    try:
+    with worktree(args.base) as parent:
         for i in range(args.pairs):
-            order = [("parent", WORKTREE), ("change", ROOT)]
+            order = [("parent", parent), ("change", ROOT)]
             for name, tree in order if i % 2 == 0 else order[::-1]:
                 meta, result = bench(tree, args)
                 runs[name][0].append(meta)
                 runs[name][1].append(result)
                 print(f"pair {i + 1}/{args.pairs} {name}: failed {result['failed']} of "
                       f"{result['attempted']}", file=sys.stderr)
-    finally:
-        git("worktree", "remove", "--force", str(WORKTREE))
 
     parent_results, change_results = runs["parent"][1], runs["change"][1]
     metrics = {}

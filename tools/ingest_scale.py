@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Fresh-process `estimate` on 10k, 200k and 1M-point scenes, 1 and 3 views each.
+
+    python3 tools/ingest_scale.py                    # working tree against HEAD
+    python3 tools/ingest_scale.py --base HEAD~1 --repeats 5
+
+Each scene is a seeded softgrip.synthetic cylinder with uniform outliers
+beside it (one point in ten), N points in total, written as shortest
+round-trip XYZ text: as one view, or split in three views, each in its own
+camera frame.  Every case runs ``softgrip estimate --roi`` (the box keeps
+the cylinder) in a fresh interpreter with ``src`` on PYTHONPATH, for the
+working tree and for --base (checked out with ``git worktree`` under
+.bench_work/), the two sides alternated and their order swapped every
+repeat.  The children are started by bench/launcher.py, a small process
+started before any scene is generated, because Linux carries the
+spawning process's peak RSS into a child's ``ru_maxrss`` at exec.
+Printed per case and side: the median wall time of the child and the
+median of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Both sides must
+write the same estimate.json.  The worktree and the scenes are removed at
+the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from bench_pairs import ROOT, WORKTREE, worktree
+
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+from run import Launcher  # noqa: E402
+from softgrip import make_cylinder, uniform_box_noise  # noqa: E402
+
+SIZES = (10_000, 200_000, 1_000_000)
+VIEWS = (1, 3)
+ROI = (-0.06, -0.06, -0.01, 0.06, 0.06, 0.13)
+# The first argument is the src directory to import softgrip from.
+CLI_CODE = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "from softgrip.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _pose(k: int) -> np.ndarray:
+    """Camera-to-global transform of view k: a turn about z and an offset."""
+    angle = np.radians(120.0 * k + 15.0)
+    c, s = np.cos(angle), np.sin(angle)
+    pose = np.eye(4)
+    pose[:3, :3] = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    pose[:3, 3] = (0.4 * c, 0.4 * s, 0.05)
+    return pose
+
+
+def write_scene(folder: Path, n_points: int, n_views: int, seed: int) -> Path:
+    """A scene of n_points in total over n_views XYZ files; returns its manifest."""
+    n_noise = n_points // 10
+    cylinder = make_cylinder(n_points=n_points - n_noise, seed=seed, center=(0.0, 0.0, 0.06))
+    noise = uniform_box_noise(n_noise, side_m=0.1, seed=seed + 1, center=(0.3, 0.0, 0.06))
+    points = np.random.default_rng(seed).permutation(np.vstack([cylinder.points, noise.points]))
+    folder.mkdir(parents=True)
+    views = []
+    for k, part in enumerate(np.array_split(points, n_views)):
+        pose = _pose(k)
+        camera = (part - pose[:3, 3]) @ pose[:3, :3]  # global to camera: R^T (p - t)
+        with open(folder / f"view_{k}.xyz", "w", encoding="utf-8") as fh:
+            fh.write(f"# view {k} of {n_views}, seed {seed}\n")
+            fh.writelines(f"{x!r} {y!r} {z!r}\n" for x, y, z in camera.tolist())
+        views.append({"cloud": f"view_{k}.xyz", "transform": pose.ravel().tolist()})
+    manifest = folder / "manifest.json"
+    manifest.write_text(json.dumps({"views": views}), encoding="utf-8")
+    return manifest
+
+
+def run_estimate(launcher: Launcher, tree: Path, manifest: Path,
+                 out: Path) -> tuple[float, float, bytes]:
+    """Wall seconds, peak RSS (MB) and estimate.json of one fresh estimate process."""
+    argv = [sys.executable, "-c", CLI_CODE, str(tree / "src"), "estimate", "--manifest",
+            str(manifest), "--roi=" + ",".join(map(repr, ROI)), "--out", str(out)]
+    stderr = out.with_suffix(".stderr")
+    reply = launcher.run(argv, manifest.parent, stderr)
+    if reply["rc"] != 0:
+        raise SystemExit(f"{tree}: estimate exited {reply['rc']} on {manifest}: "
+                         f"{stderr.read_text()[-300:]}")
+    return reply["wall"], reply["maxrss_kb"] / 1024, (out / "estimate.json").read_bytes()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=4242)
+    args = parser.parse_args(argv)
+
+    rows = []
+    with Launcher() as launcher, tempfile.TemporaryDirectory(prefix="ingest_scale_") as tmp, \
+            worktree(args.base, WORKTREE.with_name("ingest_base")) as base:
+        for n_points in SIZES:
+            for n_views in VIEWS:
+                case = f"{n_points // 1000}k x {n_views}"
+                manifest = write_scene(Path(tmp) / case.replace(" ", ""), n_points, n_views,
+                                       args.seed)
+                runs = {"base": [], "change": []}
+                for i in range(args.repeats):
+                    order = [("base", base), ("change", ROOT)]
+                    for name, tree in order if i % 2 == 0 else order[::-1]:
+                        runs[name].append(run_estimate(launcher, tree, manifest,
+                                                       Path(tmp) / name))
+                same = len({estimate for side in runs.values() for *_, estimate in side}) == 1
+                rows.append((case, runs, same))
+                print(f"{case}: done", file=sys.stderr)
+
+    print(f"| points x views | {args.base} s | change s | {args.base} MB | change MB "
+          f"| estimate.json |")
+    print("|---|---|---|---|---|---|")
+    for case, runs, same in rows:
+        wall = {name: statistics.median(r[0] for r in side) for name, side in runs.items()}
+        rss = {name: statistics.median(r[1] for r in side) for name, side in runs.items()}
+        print(f"| {case} | {wall['base']:.3f} | {wall['change']:.3f} | {rss['base']:.1f} "
+              f"| {rss['change']:.1f} | {'identical' if same else 'DIFFERS'} |")
+    return 0 if all(same for *_, same in rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
