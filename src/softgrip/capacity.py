@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, MissingCapacityDataError, ParseError
-from .inputs import decode_json, from_dict, read_package_json
+from .inputs import from_dict, read_package_json
 
 __all__ = [
     "CapacityModel", "REFERENCE_DIAMETER_MM", "default_capacity_model", "load_capacity_model",
@@ -175,11 +175,9 @@ def _validate(model: CapacityModel) -> CapacityModel:
     return model
 
 
-def load_capacity_model(source, what: str = "capacity data") -> CapacityModel:
-    """Load a capacity model from JSON text/bytes or a decoded object."""
-    if isinstance(source, (bytes, str)):
-        source = decode_json(source, what)
-    table = from_dict(CapacityTable, source, what, ParseError)
+def load_capacity_model(raw, what: str = "capacity data") -> CapacityModel:
+    """Load a capacity model from a decoded JSON object."""
+    table = from_dict(CapacityTable, raw, what, ParseError)
     entries = {}
     for e in table.entries:
         key = (e.diameter_mm, e.approach, e.hinged)

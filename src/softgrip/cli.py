@@ -21,14 +21,15 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Optional
 
 from . import geometry as geometry_mod
 from .capacity import default_capacity_model, load_capacity_model
 from .errors import ConfigError, ParseError, SoftgripError
-from .geometry import default_geometry, geometry_from_dict
-from .inputs import decode_json, from_dict, read_bytes, read_json
+from .geometry import GripperGeometry, default_geometry
+from .inputs import decode_json, from_dict, read_bytes
 from .perception import (
     APPROACH_UNGRASPABLE,
     DEFAULT_WORKSPACE,
@@ -59,7 +60,7 @@ class RunConfig:
     """Optional JSON run configuration.
 
     ``slide`` stays a raw object: command-line flags merge into it before
-    SlideConfig.from_dict checks it.
+    it is checked as a SlideConfig.
     """
 
     geometry: Optional[str] = None
@@ -69,12 +70,12 @@ class RunConfig:
     slide: dict = field(default_factory=dict)
 
     @classmethod
-    def load(cls, path: str | None) -> "RunConfig":
-        """The config in ``path`` (none: every key absent), with its file
-        paths resolved against its directory."""
+    def load(cls, path: str | None, run: RunDir) -> "RunConfig":
+        """The config in ``path`` (none: every key absent), read and hashed as
+        an input of ``run``, with its file paths resolved against its directory."""
         if path is None:
             return cls()
-        cfg = from_dict(cls, read_json(path, ConfigError), f"run config {path}")
+        cfg = from_dict(cls, run.read_json(path), f"run config {path}")
         base = Path(path).parent  # an absolute path in the file replaces it
         return replace(cfg, **{
             key: str(base / value) for key in ("geometry", "capacity")
@@ -141,7 +142,7 @@ class RunDir:
 def _load_model(args, cfg: RunConfig, run: RunDir, key: str, parse, default):
     """Parse the JSON file named by --KEY, else by the run config's KEY;
     with neither, the shipped default."""
-    path = getattr(args, key, None) or getattr(cfg, key)
+    path = getattr(args, key) or getattr(cfg, key)
     return default() if path is None else parse(run.read_json(Path(path)), f"{key} {path}")
 
 
@@ -154,9 +155,7 @@ def _public_parameters(args) -> dict:
 # fk
 # ---------------------------------------------------------------------------
 
-def cmd_fk(args, cfg: RunConfig) -> int:
-    run = RunDir(args)
-    geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
+def cmd_fk(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
     window = "strict" if args.strict else "warn"
 
     if args.theta is not None:
@@ -171,7 +170,7 @@ def cmd_fk(args, cfg: RunConfig) -> int:
             geom, args.theta_from, args.theta_to, args.step, window=window
         )
 
-    trace = geometry_mod.fk_trace(geom, trajectory, window="ignore")
+    trace = geometry_mod.fk_trace(geom, trajectory)
     out_path = run.write(
         "fk_trace.csv", lambda stream: geometry_mod.write_fk_trace_csv(trace, stream)
     )
@@ -195,9 +194,7 @@ def _box(flag: str) -> Box:
     return from_dict(Box, {"min_corner": values[:3], "max_corner": values[3:]}, "--roi")
 
 
-def cmd_estimate(args, cfg: RunConfig) -> int:
-    run = RunDir(args)
-    geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
+def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
     roi = _box(args.roi) if args.roi else cfg.roi
     workspace = cfg.workspace_limits or DEFAULT_WORKSPACE
     manifest_path = Path(args.manifest)
@@ -256,9 +253,7 @@ def cmd_estimate(args, cfg: RunConfig) -> int:
 # plan
 # ---------------------------------------------------------------------------
 
-def cmd_plan(args, cfg: RunConfig) -> int:
-    run = RunDir(args)
-    geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
+def cmd_plan(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
     capacity = _load_model(args, cfg, run, "capacity", load_capacity_model,
                            default_capacity_model)
     raw = run.read_json(Path(args.estimate))
@@ -301,17 +296,12 @@ def cmd_plan(args, cfg: RunConfig) -> int:
 # simulate-slide
 # ---------------------------------------------------------------------------
 
-def cmd_simulate_slide(args, cfg: RunConfig) -> int:
-    run = RunDir(args)
-    geom = _load_model(args, cfg, run, "geometry", geometry_from_dict, default_geometry)
-
+def cmd_simulate_slide(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
     block = dict(cfg.slide)
     for key in ("surface_y_mm", "theta_from", "theta_to", "step", "flex_gain", "flex_offset"):
         if getattr(args, key) is not None:
             block[key] = getattr(args, key)
-    slide_cfg = SlideConfig.from_dict(block)
-
-    trace = simulate_slide(geom, slide_cfg)
+    trace = simulate_slide(geom, from_dict(SlideConfig, block, "slide config"))
 
     run.write("slide_trace.csv", lambda stream: write_slide_trace_csv(trace, stream))
     summary = {
@@ -353,28 +343,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(CONFIG_ENV_VAR),
         help=f"run config JSON (default from ${CONFIG_ENV_VAR})",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--geometry", help="geometry JSON (default: shipped geometry)")
+    common.add_argument("--out", default="softgrip_run", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fk = sub.add_parser("fk", help="forward-kinematics trace to CSV")
-    p_fk.add_argument("--geometry", help="geometry JSON (default: shipped geometry)")
+    p_fk = sub.add_parser("fk", parents=[common], help="forward-kinematics trace to CSV")
     p_fk.add_argument("--theta", type=float, help="single motor angle (rad)")
     p_fk.add_argument("--from", dest="theta_from", type=float, help="sweep start (rad)")
     p_fk.add_argument("--to", dest="theta_to", type=float, help="sweep end (rad)")
     p_fk.add_argument("--step", type=float, default=geometry_mod.DEFAULT_STEP)
     p_fk.add_argument("--strict", action="store_true", help="error outside the operating window")
-    p_fk.add_argument("--out", default="softgrip_run", help="output directory")
     p_fk.set_defaults(func=cmd_fk)
 
-    p_est = sub.add_parser("estimate", help="size an object from a scene manifest")
-    p_est.add_argument("--geometry")
+    p_est = sub.add_parser("estimate", parents=[common],
+                           help="size an object from a scene manifest")
     p_est.add_argument("--manifest", required=True, help="scene manifest JSON")
     p_est.add_argument("--roi", help="crop box x0,y0,z0,x1,y1,z1 (meters)")
     p_est.add_argument("--trim", type=float, default=0.01, help="percentile trim fraction")
-    p_est.add_argument("--out", default="softgrip_run")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_plan = sub.add_parser("plan", help="plan a grasp from an object estimate")
-    p_plan.add_argument("--geometry")
+    p_plan = sub.add_parser("plan", parents=[common], help="plan a grasp from an object estimate")
     p_plan.add_argument("--capacity", help="capacity JSON (default: shipped table)")
     p_plan.add_argument("--estimate", required=True, help="estimate JSON from 'estimate'")
     p_plan.add_argument("--mass", type=float, required=True, help="object mass (kg)")
@@ -383,11 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--squeeze-margin-mm", type=float, default=5.0)
     p_plan.add_argument("--surface-y-mm", type=float, help="support surface for pinch plans")
     p_plan.add_argument("--residual-fraction", type=float, default=0.0)
-    p_plan.add_argument("--out", default="softgrip_run")
     p_plan.set_defaults(func=cmd_plan)
 
-    p_sl = sub.add_parser("simulate-slide", help="sliding-contact simulation to CSV")
-    p_sl.add_argument("--geometry")
+    p_sl = sub.add_parser("simulate-slide", parents=[common],
+                          help="sliding-contact simulation to CSV")
     p_sl.add_argument("--surface-y-mm", type=float, help="surface coordinate (mm)")
     p_sl.add_argument("--theta-from", type=float)
     p_sl.add_argument("--theta-to", type=float)
@@ -395,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.add_argument("--flex-gain", type=float)
     p_sl.add_argument("--flex-offset", type=float)
     p_sl.add_argument("--require-contact", action="store_true", help="exit 6 when no contact")
-    p_sl.add_argument("--out", default="softgrip_run")
     p_sl.set_defaults(func=cmd_simulate_slide)
 
     return parser
@@ -411,8 +398,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():  # restores the caller's warning display
         warnings.showwarning = _print_warning
         try:
-            cfg = RunConfig.load(args.config)
-            return args.func(args, cfg)
+            run = RunDir(args)
+            cfg = RunConfig.load(args.config, run)
+            geom = _load_model(args, cfg, run, "geometry", partial(from_dict, GripperGeometry),
+                               default_geometry)
+            return args.func(args, cfg, run, geom)
         except SoftgripError as exc:
             print(f"softgrip: {exc}", file=sys.stderr)
             return exc.exit_code

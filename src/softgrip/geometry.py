@@ -34,15 +34,14 @@ from .errors import (
     InvalidRangeError,
     OutOfRangeError,
 )
-from .inputs import from_dict, read_json, read_package_json
+from .inputs import from_dict, read_package_json
 
 __all__ = [
     "DEFAULT_STEP", "FingerState", "GripperGeometry", "MotorTrajectory",
     "OperatingRangeWarning", "Trace", "aperture", "aperture_window", "base_length",
     "default_geometry", "fingertip_angle", "fingertip_jacobian", "fingertip_positions",
-    "fk_trace", "forward_kinematics", "inverse_kinematics", "load_geometry",
-    "sample_trajectory", "slider_coordinate", "slider_displacement", "write_columns",
-    "write_fk_trace_csv",
+    "fk_trace", "forward_kinematics", "inverse_kinematics", "sample_trajectory",
+    "slider_coordinate", "slider_displacement", "write_columns", "write_fk_trace_csv",
 ]
 
 DEFAULT_STEP = 0.015  # rad, the standard actuation increment
@@ -66,9 +65,6 @@ CSV_CHUNK_ROWS = 4096
 # and waitpid take ~4.4 ms in a 36 MB process holding a 60k-row trace (median
 # of 40, 2-vCPU VM); float.__repr__ takes ~1 us per value.
 PARALLEL_MIN_CELLS = 50_000
-
-# Formatting work of joining one cell into its row, in float.__repr__ calls.
-JOIN_WORK = 0.25
 
 FloatOrArray = float | np.ndarray  # chain inputs and outputs, elementwise
 
@@ -319,9 +315,10 @@ def forward_kinematics(
     return FingerState(theta, y_b, delta, b, alpha, *fingertip_positions(geom, alpha))
 
 
-def aperture(geom: GripperGeometry, theta: FloatOrArray, window: str = "ignore") -> FloatOrArray:
-    """Fingertip aperture x_right - x_left at a motor angle (mm)."""
-    return forward_kinematics(geom, theta, window=window).aperture
+def aperture(geom: GripperGeometry, theta: FloatOrArray) -> FloatOrArray:
+    """Fingertip aperture x_right - x_left at a motor angle (mm), with no
+    window check."""
+    return forward_kinematics(geom, theta, window="ignore").aperture
 
 
 def aperture_window(geom: GripperGeometry) -> tuple[float, float]:
@@ -433,13 +430,10 @@ def sample_trajectory(
     return MotorTrajectory(samples=samples, step=step)
 
 
-def fk_trace(
-    geom: GripperGeometry,
-    trajectory: MotorTrajectory,
-    window: str = "ignore",
-) -> Trace:
-    """Forward kinematics along a trajectory: a FingerState of columns."""
-    return Trace(forward_kinematics(geom, trajectory.samples, window=window))
+def fk_trace(geom: GripperGeometry, trajectory: MotorTrajectory) -> Trace:
+    """Forward kinematics along a trajectory, with no window check: a
+    FingerState of columns."""
+    return Trace(forward_kinematics(geom, trajectory.samples, window="ignore"))
 
 
 def _texts(column: np.ndarray) -> list[str]:
@@ -467,22 +461,10 @@ def _write_rows(row: str, columns, start: int, stop: int, stream: IO[str]) -> No
         stream.write(format_rows(row, [c[lo:min(lo + CSV_CHUNK_ROWS, stop)] for c in columns]))
 
 
-def _share_bounds(columns: Sequence[np.ndarray], shares: int) -> list[int]:
-    """Row bounds of shares of equal formatting work: JOIN_WORK per cell
-    plus one per float.__repr__ call."""
-    work = np.full(len(columns[0]), JOIN_WORK * len(columns))
-    for column in columns:
-        if column.dtype == np.float64:
-            bits = column.view(np.int64)
-            work[1:] += bits[1:] != bits[:-1]
-    done = np.cumsum(work)
-    cuts = np.searchsorted(done, done[-1] * np.arange(1, shares) / shares)
-    return [0, *cuts.tolist(), len(work)]
-
-
 def _write_shares(row: str, columns: Sequence[np.ndarray], shares: int, stream: IO[str]):
-    """Write the rows as shares of equal work, each after the first formatted
-    by a forked child into an unlinked temporary file and appended in order.
+    """Write the rows as shares of equal row counts, each after the first
+    formatted by a forked child into an unlinked temporary file and appended
+    in order.
 
     A child makes no BLAS call, only Python formatting and numpy slicing and
     comparisons, so the idle threads of OpenBLAS's pool are no fork hazard.
@@ -492,7 +474,8 @@ def _write_shares(row: str, columns: Sequence[np.ndarray], shares: int, stream: 
     import signal  # here, so that a table too small to split imports nothing more
     import tempfile
 
-    bounds = _share_bounds(columns, shares)
+    n = len(columns[0])
+    bounds = [n * i // shares for i in range(shares + 1)]
     later = list(zip(bounds[1:], bounds[2:]))
     pids, files = [None] * len(later), [None] * len(later)
     try:
@@ -541,7 +524,7 @@ def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -
     table is never held at once.
 
     A table of at least PARALLEL_MIN_CELLS cells per share is split into
-    one share of equal formatting work per CPU in os.sched_getaffinity
+    one share of equal row count per CPU in os.sched_getaffinity
     (one share where the platform lacks it).  This process writes the first
     share; each later one is formatted by a child forked from it, from the
     same columns with the same format_rows, and appended in order.  A share
@@ -568,16 +551,6 @@ def write_fk_trace_csv(trace: Trace, stream: IO[str]) -> None:
     write_columns(FK_TRACE_HEADER, trace.columns, stream)
 
 
-def geometry_from_dict(raw: dict, what: str = "geometry config") -> GripperGeometry:
-    """Build a geometry from a mapping with exactly the field names."""
-    return from_dict(GripperGeometry, raw, what)
-
-
-def load_geometry(path) -> GripperGeometry:
-    """Load a geometry JSON file (snake_case field names, mm/rad)."""
-    return geometry_from_dict(read_json(path, ConfigError), f"geometry config {path}")
-
-
 def default_geometry() -> GripperGeometry:
     """The illustrative geometry shipped with the package.
 
@@ -586,4 +559,5 @@ def default_geometry() -> GripperGeometry:
     over [-1.9, -0.8] rad (see tools/fk_oracle.py) and give a ~103 mm
     maximum aperture with a ~7 mm fingertip height swing.
     """
-    return geometry_from_dict(read_package_json("geometry_default.json"))
+    return from_dict(GripperGeometry, read_package_json("geometry_default.json"),
+                     "geometry config")

@@ -20,25 +20,20 @@ from .errors import ConfigError, ParseError, SoftgripError
 _FLOAT_MAX = sys.float_info.max
 
 
-def read_bytes(path, error: type = ConfigError) -> bytes:
-    """The bytes of a file; an unreadable path raises ``error`` naming it."""
+def read_bytes(path) -> bytes:
+    """The bytes of a file; an unreadable path raises ConfigError naming it."""
     try:
         return Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def decode_json(data: bytes | str, what, error: type = ParseError):
-    """The value JSON text decodes to; invalid text raises ``error`` naming ``what``."""
+def decode_json(data: bytes, what):
+    """The value JSON text decodes to; invalid text raises ParseError naming ``what``."""
     try:
         return json.loads(data)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
-        raise error(f"{what} is not valid JSON: {exc}") from exc
-
-
-def read_json(path, error: type = ParseError):
-    """Read and decode one JSON file."""
-    return decode_json(read_bytes(path, error), path, error)
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def read_package_json(name: str):

@@ -28,9 +28,9 @@ from .geometry import GripperGeometry, aperture
 from .inputs import from_dict
 
 __all__ = [
-    "ApproachDecision", "Box", "ObjectEstimate", "PointCloud", "RegionOfInterest", "ScenePose",
-    "WorkspaceLimits", "crop_cloud", "decide_approach", "estimate_object", "load_cloud",
-    "max_aperture_m", "merge_clouds", "parse_cloud", "transform_cloud", "write_cloud_xyz",
+    "ApproachDecision", "Box", "ObjectEstimate", "PointCloud", "ScenePose", "crop_cloud",
+    "decide_approach", "estimate_object", "load_cloud", "max_aperture_m", "merge_clouds",
+    "parse_cloud", "transform_cloud", "write_cloud_xyz",
 ]
 
 GLOBAL_FRAME = "global"
@@ -142,9 +142,6 @@ class Box:
 
     def contains(self, point: Sequence[float]) -> bool:
         return all(a <= p <= b for a, p, b in zip(self.min_corner, point, self.max_corner))
-
-
-RegionOfInterest = WorkspaceLimits = Box
 
 
 @dataclass(frozen=True)
@@ -341,8 +338,8 @@ def _streamed(raw: bytes) -> np.ndarray | None:
     return points
 
 
-def parse_cloud(data: bytes | str, frame_id: str = CAMERA_FRAME) -> PointCloud:
-    """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset.
+def parse_cloud(data: bytes | str) -> PointCloud:
+    """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame cloud.
 
     A plain view is converted by np.loadtxt straight from its bytes (see
     _streamed); any other input, and any input that raises, goes through
@@ -359,12 +356,12 @@ def parse_cloud(data: bytes | str, frame_id: str = CAMERA_FRAME) -> PointCloud:
             except UnicodeDecodeError as exc:
                 raise ParseError(f"input is not UTF-8 text: {exc}") from exc
         points = _parse_lines(data)
-    return PointCloud(points, frame_id)
+    return PointCloud(points)
 
 
-def load_cloud(path, frame_id: str = CAMERA_FRAME) -> PointCloud:
+def load_cloud(path) -> PointCloud:
     with open(path, "rb") as fh:
-        return parse_cloud(fh.read(), frame_id)
+        return parse_cloud(fh.read())
 
 
 def write_cloud_xyz(cloud: PointCloud, stream: IO[str]) -> None:

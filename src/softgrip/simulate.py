@@ -29,12 +29,10 @@ from .geometry import (
     sample_trajectory,
     write_columns,
 )
-from .inputs import from_dict
 
 __all__ = [
     "FreeTrace", "PerturbationModel", "SlideConfig", "SlideRecord", "SlideTrace",
-    "flex_feedback_direction", "simulate_free", "simulate_slide", "write_free_trace_csv",
-    "write_slide_trace_csv",
+    "flex_feedback_direction", "simulate_free", "simulate_slide", "write_slide_trace_csv",
 ]
 
 X_BIAS_CAP_MM = 10.0  # deviations beyond ~1 cm are outside the modeled regime
@@ -152,10 +150,6 @@ class SlideConfig:
         if self.step <= 0:
             raise ConfigError(f"step must be positive, got {self.step}")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SlideConfig":
-        return from_dict(cls, raw, "slide config")
-
 
 class SlideRecord(NamedTuple):
     theta: float
@@ -265,13 +259,7 @@ def flex_feedback_direction(
 
 
 SLIDE_TRACE_HEADER = "theta,y_free,y_sim,bend,flex,phase"
-FREE_TRACE_HEADER = "theta,x_left_model,y_tip_model,x_left_sim,y_tip_sim"
 
 
 def write_slide_trace_csv(trace: SlideTrace, stream: IO[str]) -> None:
     write_columns(SLIDE_TRACE_HEADER, trace.columns, stream)
-
-
-def write_free_trace_csv(trace: FreeTrace, stream: IO[str]) -> None:
-    names = FREE_TRACE_HEADER.split(",")  # every column but theta_eff
-    write_columns(FREE_TRACE_HEADER, [getattr(trace.columns, n) for n in names], stream)

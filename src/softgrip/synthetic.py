@@ -15,7 +15,6 @@ def make_cylinder(
     n_points: int = 5000,
     seed: int = 0,
     center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    include_caps: bool = True,
     frame_id: str = GLOBAL_FRAME,
 ) -> PointCloud:
     """Uniform surface samples of an upright (z-axis) cylinder.
@@ -28,7 +27,7 @@ def make_cylinder(
     radius = diameter_m / 2.0
 
     lateral_area = np.pi * diameter_m * height_m
-    cap_area = 2.0 * np.pi * radius ** 2 if include_caps else 0.0
+    cap_area = 2.0 * np.pi * radius ** 2
     n_lateral = int(round(n_points * lateral_area / (lateral_area + cap_area)))
     n_caps = n_points - n_lateral
 

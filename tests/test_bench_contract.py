@@ -9,14 +9,39 @@ return values fails here rather than silently in a traced run.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import softgrip
 from softgrip.geometry import fk_trace, sample_trajectory, write_fk_trace_csv
 from softgrip.simulate import SlideConfig, simulate_slide, write_slide_trace_csv
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# Run in a fresh interpreter: importing softgrip.cli must load every traced
+# layer, since Tracer.install reads them from sys.modules, and install
+# rebinds module globals, which would leave this process traced.
+INSTALL_CHECK = f"""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("spans", {str(SPANS_PATH)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+import softgrip.cli
+missing = [layer for layer in spans.LAYERS if "softgrip." + layer not in sys.modules]
+assert not missing, missing
+names = [spans.metric_name(layer, attr) for layer, attrs in spans.LAYERS.items()
+         for attr in attrs]
+spans.Tracer().install(names)
+for layer, attrs in spans.LAYERS.items():
+    for attr in attrs:
+        owner_name, _, fn_name = attr.rpartition(".")
+        module = sys.modules["softgrip." + layer]
+        owner = getattr(module, owner_name) if owner_name else module
+        assert hasattr(getattr(owner, fn_name), "__wrapped__"), (layer, attr)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +59,13 @@ def test_every_traced_name_resolves(spans):
             owner_name, _, fn_name = attr.rpartition(".")
             owner = getattr(module, owner_name) if owner_name else module
             assert callable(getattr(owner, fn_name)), f"{layer}.{attr}"
+
+
+def test_cli_import_loads_every_layer_and_install_wraps_every_name():
+    env = dict(os.environ, PYTHONPATH=str(Path(softgrip.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", INSTALL_CHECK], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_trace_lengths_are_row_counts(spans, geom):

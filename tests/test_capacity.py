@@ -125,8 +125,6 @@ def test_rejects_empty_table():
 
 def test_rejects_malformed_payloads():
     with pytest.raises(ParseError):
-        load_capacity_model("{not json")
-    with pytest.raises(ParseError):
         load_capacity_model({"entries": "nope", "deflection_curves": {}})
     raw = raw_default_table()
     del raw["entries"][0]["approach"]

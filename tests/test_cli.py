@@ -353,6 +353,28 @@ def test_run_manifest_hashes_are_the_input_file_digests(tmp_path):
         assert recorded[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_run_manifest_hashes_the_run_config(tmp_path):
+    cfg = tmp_path / "run_config.json"
+    cfg.write_text(json.dumps({"slide": {"flex_gain": 2.0}}))
+    assert run_cli("simulate-slide", "--out", tmp_path / "plain") == 0
+    assert run_cli("--config", cfg, "simulate-slide", "--out", tmp_path / "run") == 0
+    traces = [(tmp_path / run / "slide_trace.csv").read_bytes() for run in ("plain", "run")]
+    assert traces[0] != traces[1]
+    recorded = json.loads((tmp_path / "run" / "run_manifest.json").read_text())["inputs"]
+    assert recorded == {str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest()}
+
+
+def test_capacity_file_that_is_not_json_exits_2_and_names_it(tmp_path, capsys):
+    cap = tmp_path / "cap.json"
+    cap.write_text("{not json")
+    est = write_estimate(tmp_path, (0.08, 0.08, 0.12))
+    out = tmp_path / "run"
+    assert run_cli("plan", "--estimate", est, "--mass", 0.1, "--capacity", cap,
+                   "--out", out) == 2
+    assert f"{cap} is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_is_installed():
     exe = shutil.which("softgrip")
     if exe is None:

@@ -97,7 +97,7 @@ def test_slide_runs_and_phases_straddle_the_share_edge(traces, cpus, children, s
     _, slide, want = traces[1]
     cpus(2)
     split(500, 7)
-    bound = geometry._share_bounds(slide.columns, 2)[1]
+    bound = len(slide) // 2
     y_sim, phase = slide.columns.y_sim, slide.columns.phase
     assert y_sim[bound - 1] == y_sim[bound] and phase[bound - 1] == phase[bound]
     assert text_of(write_slide_trace_csv, slide) == want

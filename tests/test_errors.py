@@ -29,7 +29,7 @@ def test_every_subclass_has_an_expected_code():
 
 @pytest.mark.parametrize("cls", list(EXPECTED_EXIT_CODES), ids=lambda c: c.__name__)
 def test_cli_exits_with_the_error_exit_code(cls, monkeypatch, tmp_path, capsys):
-    def fail(args, cfg):
+    def fail(*args):
         raise cls("boom")
 
     assert cls.exit_code == EXPECTED_EXIT_CODES[cls]

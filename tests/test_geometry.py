@@ -34,7 +34,7 @@ from softgrip import (
     write_fk_trace_csv,
 )
 from softgrip import geometry as geometry_mod
-from softgrip.geometry import geometry_from_dict, load_geometry
+from softgrip.cli import main
 
 # Output of tools/fk_oracle.py for the shipped default geometry.
 FROZEN_STATES = {
@@ -416,13 +416,17 @@ def test_fk_trace_csv_format(geom):
 
 
 def test_load_geometry_roundtrip(tmp_path, geom):
+    # A geometry file of the shipped values gives the shipped trace.
     import json
     from dataclasses import asdict
 
     path = tmp_path / "geom.json"
     path.write_text(json.dumps(asdict(geom)))
-    loaded = load_geometry(path)
-    assert loaded == geom
+    sweep = ["fk", "--from", "-0.8", "--to", "-1.4"]
+    assert main([*sweep, "--geometry", str(path), "--out", str(tmp_path / "file")]) == 0
+    assert main([*sweep, "--out", str(tmp_path / "shipped")]) == 0
+    assert ((tmp_path / "file" / "fk_trace.csv").read_bytes()
+            == (tmp_path / "shipped" / "fk_trace.csv").read_bytes())
 
 
 @pytest.mark.parametrize("mutation", [
@@ -430,7 +434,7 @@ def test_load_geometry_roundtrip(tmp_path, geom):
     lambda d: d.update(extra_field=1.0),
     lambda d: d.update(r1="not-a-number"),
 ])
-def test_load_geometry_rejects_bad_configs(tmp_path, geom, mutation):
+def test_load_geometry_rejects_bad_configs(tmp_path, geom, mutation, capsys):
     import json
     from dataclasses import asdict
 
@@ -438,8 +442,10 @@ def test_load_geometry_rejects_bad_configs(tmp_path, geom, mutation):
     mutation(raw)
     path = tmp_path / "geom.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(ConfigError):
-        load_geometry(path)
+    out = tmp_path / "run"
+    assert main(["fk", "--theta", "-0.8", "--geometry", str(path), "--out", str(out)]) == 2
+    assert f"geometry {path}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_geometry_invariants_enforced():
@@ -451,9 +457,8 @@ def test_geometry_invariants_enforced():
         small_geometry(theta_open=-1.4, theta_closed=-0.8)
     with pytest.raises(ConfigError):
         # base length exceeds 2l inside the window
-        geometry_from_dict(dict(r1=20.0, r2=60.0, e=400.0, c=0.0, d=30.0, l=150.0,
-                                delta_x=5.0, delta_y=10.0,
-                                theta_open=-0.8, theta_closed=-1.4))
+        GripperGeometry(r1=20.0, r2=60.0, e=400.0, c=0.0, d=30.0, l=150.0,
+                        delta_x=5.0, delta_y=10.0, theta_open=-0.8, theta_closed=-1.4)
 
 
 def test_geometry_rejects_legs_too_short_for_the_slide_overtravel(geom):

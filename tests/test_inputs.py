@@ -41,10 +41,6 @@ def test_from_dict_converts_numbers_and_takes_null_where_optional():
     assert box.max_corner == (1.0, 2.0, 3.0)
 
 
-def test_one_box_type():
-    assert softgrip.RegionOfInterest is softgrip.WorkspaceLimits is softgrip.Box
-
-
 @dataclass(frozen=True)
 class Samples:
     values: tuple[float, ...]

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from softgrip import (
+    Box,
     EmptyCloudError,
     FrameMismatchError,
     InvalidPoseError,
     ObjectEstimate,
     ParseError,
     PointCloud,
-    RegionOfInterest,
     ScenePose,
-    WorkspaceLimits,
     crop_cloud,
     decide_approach,
     estimate_object,
@@ -116,7 +115,7 @@ def test_generated_cylinder_roundtrips_bit_identically():
     write_cloud_xyz(cloud, buf)
     text = buf.getvalue()
     assert len(text.splitlines()) == 5000
-    reparsed = parse_cloud(text, frame_id=cloud.frame_id)
+    reparsed = parse_cloud(text)
     assert np.array_equal(reparsed.points, cloud.points)
 
 
@@ -249,7 +248,7 @@ def test_merge_rejects_frame_mix():
 
 def test_crop_inclusive_and_idempotent():
     cloud = parse_cloud("0 0 0\n0.5 0.5 0.5\n2 2 2\n")
-    roi = RegionOfInterest((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    roi = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     once = crop_cloud(cloud, roi)
     assert len(once) == 2  # the corner point is retained
     twice = crop_cloud(once, roi)
@@ -258,8 +257,8 @@ def test_crop_inclusive_and_idempotent():
 
 def test_crop_monotone_in_roi():
     cloud = uniform_box_noise(500, side_m=1.0, seed=9)
-    large = crop_cloud(cloud, RegionOfInterest((-0.4,) * 3, (0.4,) * 3))
-    small = crop_cloud(cloud, RegionOfInterest((-0.2,) * 3, (0.2,) * 3))
+    large = crop_cloud(cloud, Box((-0.4,) * 3, (0.4,) * 3))
+    small = crop_cloud(cloud, Box((-0.2,) * 3, (0.2,) * 3))
     large_set = {tuple(p) for p in large.points}
     assert all(tuple(p) in large_set for p in small.points)
 
@@ -269,7 +268,7 @@ def test_crop_isolates_labeled_object():
                              center=(0.0, 0.0, 0.06))
     clutter = uniform_box_noise(400, side_m=1.0, seed=5, center=(0.6, 0.0, 0.2))
     scene = merge_clouds([cylinder, clutter])
-    roi = RegionOfInterest((-0.06, -0.06, -0.01), (0.06, 0.06, 0.13))
+    roi = Box((-0.06, -0.06, -0.01), (0.06, 0.06, 0.13))
     inside = crop_cloud(scene, roi)
     cylinder_set = {tuple(p) for p in cylinder.points}
     assert len(inside) >= 1500 * 0.99
@@ -375,7 +374,7 @@ def test_oversized_object_ungraspable(geom):
 
 
 def test_out_of_workspace_falls_back_vertical(geom):
-    limits = WorkspaceLimits((-0.5, -0.5, 0.0), (0.5, 0.5, 0.5))
+    limits = Box((-0.5, -0.5, 0.0), (0.5, 0.5, 0.5))
     decision = decide_approach(
         make_estimate((0.06, 0.06, 0.20), centroid=(2.0, 0.0, 0.1)), geom, limits
     )

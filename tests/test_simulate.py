@@ -17,9 +17,9 @@ from softgrip import (
     sample_trajectory,
     simulate_free,
     simulate_slide,
-    write_free_trace_csv,
     write_slide_trace_csv,
 )
+from softgrip.inputs import from_dict
 
 # From tools/fk_oracle.py: fingertip height at the sliding-closed angle.
 SLIDE_SURFACE_Y = 403.09463520984245
@@ -144,15 +144,6 @@ def test_perturbation_model_caps(geom):
         PerturbationModel(noise_sd_mm=-1.0)
 
 
-def test_free_trace_csv(geom):
-    trace = simulate_free(geom, closing_traj(geom))
-    buf = io.StringIO()
-    write_free_trace_csv(trace, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "theta,x_left_model,y_tip_model,x_left_sim,y_tip_sim"
-    assert len(lines) == len(trace.records) + 1
-
-
 # ---------------------------------------------------------------------------
 # sliding simulation
 # ---------------------------------------------------------------------------
@@ -239,7 +230,7 @@ def test_slide_config_validation():
     with pytest.raises(ConfigError):
         SlideConfig(step=0.0)
     with pytest.raises(ConfigError):
-        SlideConfig.from_dict({"surface_y_mm": 1.0, "bogus": 2.0})
+        from_dict(SlideConfig, {"surface_y_mm": 1.0, "bogus": 2.0}, "slide config")
 
 
 def test_slide_trace_csv(geom):
