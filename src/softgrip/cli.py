@@ -6,10 +6,8 @@ artifacts plus a run manifest (input hashes, no timestamps) into one
 output directory, so repeated runs with the same inputs are byte
 identical.
 
-Exit codes are a stable contract: 0 ok, 2 configuration or parse error,
-3 kinematic domain error, 4 empty result after cropping, 5 infeasible
-grasp, 6 no contact under --require-contact.  Errors carry their code as
-``exit_code`` (see softgrip.errors).
+Exit codes are a stable contract: 0 ok, else the ``exit_code`` of the
+error that ended the run (see softgrip.errors).
 """
 
 from __future__ import annotations
@@ -20,18 +18,17 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Optional
 
 from . import geometry as geometry_mod
 from .capacity import default_capacity_model, load_capacity_model
-from .errors import ConfigError, ParseError, SoftgripError
+from .errors import ConfigError, EmptyCloudError, NoContactError, ParseError, SoftgripError
 from .geometry import GripperGeometry, default_geometry
 from .inputs import decode_json, from_dict, read_bytes
 from .perception import (
-    APPROACH_UNGRASPABLE,
     DEFAULT_WORKSPACE,
     Box,
     ObjectEstimate,
@@ -46,11 +43,6 @@ from .perception import (
 )
 from .planning import plan_envelope_grasp, plan_pinch_grasp, validate_plan, write_plan_csv
 from .simulate import SlideConfig, simulate_slide, write_slide_trace_csv
-
-EXIT_OK = 0
-EXIT_EMPTY = 4
-EXIT_INFEASIBLE = 5
-EXIT_NO_CONTACT = 6
 
 CONFIG_ENV_VAR = "SOFTGRIP_CONFIG"
 
@@ -87,9 +79,12 @@ class RunDir:
     """Reads the inputs and writes the artifacts and provenance of one invocation."""
 
     def __init__(self, args):
+        if not args.out:  # Path("") is the working directory
+            raise ConfigError("--out must not be empty")
         self.path = Path(args.out)
         self.command = args.command
-        self.parameters = _public_parameters(args)
+        self.parameters = {key: value for key, value in sorted(vars(args).items())
+                           if key not in ("func", "command", "config", "out")}
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
 
@@ -142,20 +137,18 @@ class RunDir:
 def _load_model(args, cfg: RunConfig, run: RunDir, key: str, parse, default):
     """Parse the JSON file named by --KEY, else by the run config's KEY;
     with neither, the shipped default."""
-    path = getattr(args, key) or getattr(cfg, key)
+    path = getattr(args, key)
+    if path == "":
+        raise ConfigError(f"--{key} must not be empty")
+    path = getattr(cfg, key) if path is None else path
     return default() if path is None else parse(run.read_json(Path(path)), f"{key} {path}")
-
-
-def _public_parameters(args) -> dict:
-    skip = {"func", "command", "config", "out"}
-    return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
 # ---------------------------------------------------------------------------
 # fk
 # ---------------------------------------------------------------------------
 
-def cmd_fk(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
+def cmd_fk(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
     window = "strict" if args.strict else "warn"
 
     if args.theta is not None:
@@ -166,9 +159,8 @@ def cmd_fk(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
     else:
         if args.theta_from is None or args.theta_to is None:
             raise ConfigError("need --theta or both --from and --to")
-        trajectory = geometry_mod.sample_trajectory(
-            geom, args.theta_from, args.theta_to, args.step, window=window
-        )
+        trajectory = geometry_mod.sample_trajectory(geom, args.theta_from, args.theta_to,
+                                                    args.step, window)
 
     trace = geometry_mod.fk_trace(geom, trajectory)
     out_path = run.write(
@@ -176,7 +168,6 @@ def cmd_fk(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
     )
     run.finalize()
     print(f"fk: wrote {len(trace)} rows to {out_path}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +185,7 @@ def _box(flag: str) -> Box:
     return from_dict(Box, {"min_corner": values[:3], "max_corner": values[3:]}, "--roi")
 
 
-def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
+def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
     roi = _box(args.roi) if args.roi else cfg.roi
     workspace = cfg.workspace_limits or DEFAULT_WORKSPACE
     manifest_path = Path(args.manifest)
@@ -226,8 +217,7 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> in
         stage_counts["cropped"] = len(merged)
         print(f"estimate: {len(merged)} points inside the region of interest")
         if merged.is_empty:
-            print("estimate: region of interest removed every point", file=sys.stderr)
-            return EXIT_EMPTY
+            raise EmptyCloudError("region of interest removed every point")
 
     est = estimate_object(merged, trim_fraction=args.trim)
     stage_counts["retained"] = est.point_count
@@ -246,25 +236,19 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> in
         f"dominant {est.dominant_axis}, approach {decision.approach} "
         f"({decision.reason}); wrote {out_path}"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------
 
-def cmd_plan(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
+def cmd_plan(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
     capacity = _load_model(args, cfg, run, "capacity", load_capacity_model,
                            default_capacity_model)
     raw = run.read_json(Path(args.estimate))
     if isinstance(raw, dict) and "estimate" in raw:
         raw = raw["estimate"]
     est = ObjectEstimate.from_dict(raw, f"estimate {args.estimate}")
-
-    decision = decide_approach(est, geom, cfg.workspace_limits or DEFAULT_WORKSPACE)
-    if decision.approach == APPROACH_UNGRASPABLE:
-        print(f"plan: object ungraspable ({decision.reason})", file=sys.stderr)
-        return EXIT_INFEASIBLE
 
     if is_small_height(est):
         surface = args.surface_y_mm if args.surface_y_mm is not None else float("-inf")
@@ -289,18 +273,17 @@ def cmd_plan(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
         f"plan: {plan.approach} grasp to theta {plan.target_theta:.4f} rad, "
         f"validation {verdict}; wrote {out_path}"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # simulate-slide
 # ---------------------------------------------------------------------------
 
-def cmd_simulate_slide(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> int:
-    block = dict(cfg.slide)
-    for key in ("surface_y_mm", "theta_from", "theta_to", "step", "flex_gain", "flex_offset"):
-        if getattr(args, key) is not None:
-            block[key] = getattr(args, key)
+def cmd_simulate_slide(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
+    # The geometry's slide range, then the run config's slide block, then the flags.
+    flags = {f.name: getattr(args, f.name) for f in fields(SlideConfig)}
+    block = {"theta_from": geom.theta_open, "theta_to": geom.slide_floor, **cfg.slide,
+             **{key: value for key, value in flags.items() if value is not None}}
     trace = simulate_slide(geom, from_dict(SlideConfig, block, "slide config"))
 
     run.write("slide_trace.csv", lambda stream: write_slide_trace_csv(trace, stream))
@@ -317,7 +300,7 @@ def cmd_simulate_slide(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry)
     if trace.contact_theta is None:
         print("simulate-slide: no contact over the sweep")
         if args.require_contact:
-            return EXIT_NO_CONTACT
+            raise NoContactError("--require-contact: no contact over the sweep")
     else:
         print(
             f"simulate-slide: contact at {trace.contact_theta:.4f} rad, "
@@ -325,7 +308,6 @@ def cmd_simulate_slide(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry)
             f"peak bend {trace.peak_bend:.3f} mm"
         )
     print(f"simulate-slide: wrote {out_path}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sl = sub.add_parser("simulate-slide", parents=[common],
                           help="sliding-contact simulation to CSV")
-    p_sl.add_argument("--surface-y-mm", type=float, help="surface coordinate (mm)")
-    p_sl.add_argument("--theta-from", type=float)
-    p_sl.add_argument("--theta-to", type=float)
-    p_sl.add_argument("--step", type=float)
-    p_sl.add_argument("--flex-gain", type=float)
-    p_sl.add_argument("--flex-offset", type=float)
+    for f in fields(SlideConfig):  # --theta-from sets theta_from, and so on
+        p_sl.add_argument(f"--{f.name.replace('_', '-')}", type=float,
+                          help="overrides the run config's slide block")
     p_sl.add_argument("--require-contact", action="store_true", help="exit 6 when no contact")
     p_sl.set_defaults(func=cmd_simulate_slide)
 
@@ -402,10 +381,11 @@ def main(argv=None) -> int:
             cfg = RunConfig.load(args.config, run)
             geom = _load_model(args, cfg, run, "geometry", partial(from_dict, GripperGeometry),
                                default_geometry)
-            return args.func(args, cfg, run, geom)
+            args.func(args, cfg, run, geom)
         except SoftgripError as exc:
             print(f"softgrip: {exc}", file=sys.stderr)
             return exc.exit_code
+    return 0
 
 
 def console_main() -> None:

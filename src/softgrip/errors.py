@@ -1,16 +1,16 @@
 """Exception hierarchy shared by all softgrip modules.
 
-Each class carries the command-line exit code it maps to: 2 configuration
-or parse error, 3 kinematic domain error, 4 empty result, 5 infeasible
-grasp.
+Each class carries the command-line exit code it maps to, the one place that
+code is known: 2 configuration or parse error, 3 kinematic domain error,
+4 empty result, 5 infeasible grasp, 6 no contact under --require-contact.
 """
 
 __all__ = [
     "ConfigError", "DomainError", "EmptyCloudError", "FrameMismatchError",
     "InsufficientDataError", "InvalidPoseError", "InvalidRangeError",
-    "InvariantViolationError", "MissingCapacityDataError", "ObjectTooLargeError",
-    "ObjectTooSmallError", "OutOfRangeError", "ParseError", "SoftgripError",
-    "SurfaceConflictError",
+    "InvariantViolationError", "MissingCapacityDataError", "NoContactError",
+    "ObjectTooLargeError", "ObjectTooSmallError", "OutOfRangeError", "ParseError",
+    "SoftgripError", "SurfaceConflictError",
 ]
 
 
@@ -101,6 +101,12 @@ class SurfaceConflictError(SoftgripError):
     surface."""
 
     exit_code = 5
+
+
+class NoContactError(SoftgripError):
+    """A sliding run that must make contact never touched the surface."""
+
+    exit_code = 6
 
 
 class InsufficientDataError(SoftgripError):

@@ -9,10 +9,11 @@ angles radians.  Motor angles are negative by convention (fully open
 evaluated on |theta|, so it is even in theta bit for bit and the sign is a
 labeling choice.
 
-Every chain function takes a scalar or a numpy array of angles and is
-vectorized elementwise.  All functions are pure and safe to call
-concurrently.  Trajectories and traces hold read-only float64 columns;
-write_columns is the one CSV writer of every trace.
+Every chain function takes a scalar or a numpy array of angles, is
+vectorized elementwise and checks no operating window, which the sliding
+regime exceeds; only check_window and sample_trajectory check it, and only
+they warn.  All functions are safe to call concurrently.  Trajectories and
+traces hold read-only float64 columns; write_columns writes every trace.
 """
 
 from __future__ import annotations
@@ -297,17 +298,8 @@ def fingertip_positions(
     return reach - geom.delta_x, geom.delta_x - reach, geom.l * np.sin(alpha) + geom.delta_y
 
 
-def forward_kinematics(
-    geom: GripperGeometry, theta: FloatOrArray, window: str = "warn"
-) -> FingerState:
-    """Evaluate the full chain at a motor angle or an array of them.
-
-    window: "warn" (default) warns outside the declared operating window,
-    "strict" raises DomainError there, "ignore" skips the check.  The
-    sliding regime deliberately exceeds theta_closed, so simulation code
-    passes "ignore".
-    """
-    check_window(geom, theta, window)
+def forward_kinematics(geom: GripperGeometry, theta: FloatOrArray) -> FingerState:
+    """Evaluate the full chain at a motor angle or an array of them."""
     y_b = slider_coordinate(geom, theta)
     delta = geom.e - geom.c - y_b
     b = base_length(geom, delta)
@@ -316,9 +308,8 @@ def forward_kinematics(
 
 
 def aperture(geom: GripperGeometry, theta: FloatOrArray) -> FloatOrArray:
-    """Fingertip aperture x_right - x_left at a motor angle (mm), with no
-    window check."""
-    return forward_kinematics(geom, theta, window="ignore").aperture
+    """Fingertip aperture x_right - x_left at a motor angle (mm)."""
+    return forward_kinematics(geom, theta).aperture
 
 
 def aperture_window(geom: GripperGeometry) -> tuple[float, float]:
@@ -361,7 +352,7 @@ def inverse_kinematics(geom: GripperGeometry, target_aperture: float) -> float:
 
 
 def fingertip_jacobian(
-    geom: GripperGeometry, theta: FloatOrArray, window: str = "warn"
+    geom: GripperGeometry, theta: FloatOrArray
 ) -> tuple[FloatOrArray, FloatOrArray]:
     """Analytic (dx_left/dtheta, dy_tip/dtheta) in mm/rad.
 
@@ -369,7 +360,6 @@ def fingertip_jacobian(
     derivative is sign(theta) times that.  Raises DomainError at the
     b -> 2*l singularity where the fingertip angle's derivative blows up.
     """
-    check_window(geom, theta, window)
     sin_t, cos_t = np.sin(np.abs(theta)), np.cos(np.abs(theta))
     root = np.sqrt(geom.r2 ** 2 - (geom.r1 * sin_t) ** 2)
     d_delta = geom.r1 * sin_t + (geom.r1 ** 2 * sin_t * cos_t) / root
@@ -431,9 +421,8 @@ def sample_trajectory(
 
 
 def fk_trace(geom: GripperGeometry, trajectory: MotorTrajectory) -> Trace:
-    """Forward kinematics along a trajectory, with no window check: a
-    FingerState of columns."""
-    return Trace(forward_kinematics(geom, trajectory.samples, window="ignore"))
+    """Forward kinematics along a trajectory: a FingerState of columns."""
+    return Trace(forward_kinematics(geom, trajectory.samples))
 
 
 def _texts(column: np.ndarray) -> list[str]:

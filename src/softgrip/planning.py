@@ -155,7 +155,7 @@ def plan_envelope_grasp(
     if target_theta == theta_start:
         trajectory = MotorTrajectory(samples=(theta_start,))
     else:
-        trajectory = sample_trajectory(geom, theta_start, target_theta, window="ignore")
+        trajectory = sample_trajectory(geom, theta_start, target_theta)
 
     keep = 1.0 - residual_fraction
     delta_start = slider_displacement(geom, theta_start)
@@ -214,8 +214,8 @@ def plan_pinch_grasp(
             f"{surface_y_mm:.1f} mm"
         )
 
-    trajectory = sample_trajectory(geom, theta_start, geom.theta_closed, window="ignore")
-    tips = forward_kinematics(geom, trajectory.samples, window="ignore").y_tip
+    trajectory = sample_trajectory(geom, theta_start, geom.theta_closed)
+    tips = forward_kinematics(geom, trajectory.samples).y_tip
     return GraspPlan(
         approach=APPROACH_VERTICAL,
         motor_trajectory=trajectory,

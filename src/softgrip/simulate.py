@@ -110,8 +110,8 @@ def simulate_free(
         theta_eff = np.minimum(theta[0], theta + half_play)
     else:
         theta_eff = np.maximum(theta[0], theta - half_play)
-    model = forward_kinematics(geom, theta, window="ignore")
-    state = forward_kinematics(geom, theta_eff, window="ignore")
+    model = forward_kinematics(geom, theta)
+    state = forward_kinematics(geom, theta_eff)
     x_sim = state.x_left - perturbation.x_bias_mm
     y_sim = state.y_tip
     sd = perturbation.noise_sd_mm
@@ -198,7 +198,7 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
 
     trajectory = sample_trajectory(geom, cfg.theta_from, cfg.theta_to, cfg.step, window="ignore")
     theta = trajectory.samples
-    y_free = forward_kinematics(geom, theta, window="ignore").y_tip
+    y_free = forward_kinematics(geom, theta).y_tip
     # The last sample is theta_to exactly, so its tip height is the default surface.
     surface = cfg.surface_y_mm if cfg.surface_y_mm is not None else float(y_free[-1])
     y_sim = np.minimum(y_free, surface)

@@ -49,8 +49,8 @@ def test_criterion_01_kinematic_symmetry(geom):
     rng = np.random.default_rng(2024)
     ok = True
     for th in rng.uniform(-1.9, -0.8, 1000):
-        a = forward_kinematics(geom, float(th), window="ignore")
-        b = forward_kinematics(geom, -float(th), window="ignore")
+        a = forward_kinematics(geom, float(th))
+        b = forward_kinematics(geom, -float(th))
         ok &= abs(a.x_left + a.x_right) <= 1e-12
         ok &= (a.y_b, a.delta, a.b, a.alpha, a.x_left, a.x_right, a.y_tip) == (
             b.y_b, b.delta, b.b, b.alpha, b.x_left, b.x_right, b.y_tip
@@ -77,8 +77,8 @@ def test_criterion_03_jacobian_vs_finite_differences(geom):
     for th in np.linspace(geom.theta_closed + 1e-3, geom.theta_open - 1e-3, 50):
         th = float(th)
         jx, jy = fingertip_jacobian(geom, th)
-        plus = forward_kinematics(geom, th + h, window="ignore")
-        minus = forward_kinematics(geom, th - h, window="ignore")
+        plus = forward_kinematics(geom, th + h)
+        minus = forward_kinematics(geom, th - h)
         fd_x = (plus.x_left - minus.x_left) / (2 * h)
         fd_y = (plus.y_tip - minus.y_tip) / (2 * h)
         worst = max(worst,
@@ -139,7 +139,7 @@ def test_criterion_06_compensation_identities(geom):
     pinch = plan_pinch_grasp(geom, estimate_for((0.03, 0.03, 0.008)))
     tip_base = forward_kinematics(geom, pinch.motor_trajectory.samples[0]).y_tip
     pinch_dev = max(
-        abs(forward_kinematics(geom, th, window="ignore").y_tip + comp - tip_base)
+        abs(forward_kinematics(geom, th).y_tip + comp - tip_base)
         for th, comp in pinch.arm_compensation
     )
     report(6, f"root deviation {env_dev:.2e} mm, fingertip deviation {pinch_dev:.2e} mm",

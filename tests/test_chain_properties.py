@@ -29,8 +29,8 @@ angle_arrays = arrays(
 @settings(max_examples=50, deadline=None)
 @given(angle_arrays)
 def test_array_fk_equals_scalar_fk_bitwise(thetas):
-    columns = forward_kinematics(GEOM, thetas, window="ignore")
-    scalar = [forward_kinematics(GEOM, float(th), window="ignore") for th in thetas]
+    columns = forward_kinematics(GEOM, thetas)
+    scalar = [forward_kinematics(GEOM, float(th)) for th in thetas]
     for field in columns._fields[1:]:
         assert np.array_equal(getattr(columns, field), [getattr(s, field) for s in scalar]), field
 
@@ -38,8 +38,8 @@ def test_array_fk_equals_scalar_fk_bitwise(thetas):
 @settings(max_examples=50, deadline=None)
 @given(angle_arrays)
 def test_fk_is_even_bitwise(thetas):
-    plus = forward_kinematics(GEOM, thetas, window="ignore")
-    minus = forward_kinematics(GEOM, -thetas, window="ignore")
+    plus = forward_kinematics(GEOM, thetas)
+    minus = forward_kinematics(GEOM, -thetas)
     for field in plus._fields[1:]:
         assert np.array_equal(getattr(plus, field), getattr(minus, field)), field
 

@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from softgrip import (
     Box,
+    SlideConfig,
     crop_cloud,
     estimate_object,
     make_cylinder,
@@ -695,3 +697,122 @@ def test_a_flag_the_manifest_cannot_hold_leaves_no_run_directory(tmp_path, capsy
     assert err.startswith("softgrip: cannot write ") and err.count("\n") == 1, err
     assert "run_manifest.json" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# exit codes come from the error classes
+# ---------------------------------------------------------------------------
+
+def test_require_contact_exits_6_with_one_message_after_a_complete_run(tmp_path, capsys):
+    plain, out = tmp_path / "plain", tmp_path / "run"
+    assert run_cli("simulate-slide", "--surface-y-mm", 500.0, "--out", plain) == 0
+    capsys.readouterr()
+    assert run_cli("simulate-slide", "--surface-y-mm", 500.0, "--require-contact",
+                   "--out", out) == 6
+    captured = capsys.readouterr()
+    assert captured.out == "simulate-slide: no contact over the sweep\n"
+    assert captured.err.startswith("softgrip: ") and captured.err.count("\n") == 1
+    assert "--require-contact" in captured.err
+    recorded = json.loads((out / "run_manifest.json").read_text())
+    assert recorded["outputs"] == ["slide_summary.json", "slide_trace.csv"]
+    assert recorded["parameters"]["require_contact"] is True
+    for name in recorded["outputs"]:
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_empty_crop_exits_4_with_one_message(tmp_path, capsys):
+    manifest = _cylinder_manifest(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("estimate", "--manifest", manifest, "--roi", "5,5,5,6,6,6",
+                   "--out", out) == 4
+    assert capsys.readouterr().err == "softgrip: region of interest removed every point\n"
+    assert not out.exists()
+
+
+WIDE, WIDE_AND_FLAT = (0.2, 0.3, 0.12), (0.2, 0.3, 0.006)
+
+
+@pytest.mark.parametrize("extents", [WIDE, WIDE_AND_FLAT], ids=["envelope", "pinch"])
+def test_ungraspable_plan_exits_5_with_the_planner_message(tmp_path, capsys, extents):
+    out = tmp_path / "run"
+    assert run_cli(*_plan(extents, "--mass", 0.1)(tmp_path), "--out", out) == 5
+    assert capsys.readouterr().err == (
+        "softgrip: object diameter 200.0 mm exceeds the maximum aperture 103.0 mm\n")
+    assert not out.exists()
+
+
+# The planner checks its own flags before the object's size.
+BAD_FLAGS_ON_UNGRASPABLE = {
+    "envelope residual fraction is 2": _plan(WIDE, "--mass", 0.1, "--residual-fraction", 2),
+    "pinch surface is nan": _plan(WIDE_AND_FLAT, "--mass", 0.1, "--surface-y-mm", "nan"),
+}
+
+
+@pytest.mark.parametrize("build", list(BAD_FLAGS_ON_UNGRASPABLE.values()),
+                         ids=list(BAD_FLAGS_ON_UNGRASPABLE))
+def test_a_bad_planner_flag_exits_2_before_an_ungraspable_object(tmp_path, capsys, build):
+    out = tmp_path / "run"
+    assert run_cli(*build(tmp_path), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("softgrip: ") and err.count("\n") == 1, err
+    assert "aperture" not in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# empty paths are refused, never read as the default
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag", ["geometry", "capacity"])
+def test_an_empty_model_path_exits_2_and_names_the_flag(tmp_path, capsys, flag):
+    if flag == "geometry":
+        argv = ["fk", "--theta", -0.8]
+    else:
+        argv = ["plan", "--estimate", write_estimate(tmp_path, ENVELOPE), "--mass", 0.1]
+    out = tmp_path / "run"
+    assert run_cli(*argv, f"--{flag}", "", "--out", out) == 2
+    assert capsys.readouterr().err == f"softgrip: --{flag} must not be empty\n"
+    assert not out.exists()
+
+
+def test_an_empty_out_exits_2_before_anything_is_read_or_written(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run_config.json"
+    cfg.write_text("{not json")  # reading it would exit 2 naming it
+    assert run_cli("--config", cfg, "fk", "--theta", -0.8, "--out", "") == 2
+    assert capsys.readouterr().err == "softgrip: --out must not be empty\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run_config.json"]
+
+
+# ---------------------------------------------------------------------------
+# simulate-slide flags and defaults
+# ---------------------------------------------------------------------------
+
+def test_every_slide_config_field_is_a_simulate_slide_flag(tmp_path):
+    given = {"surface_y_mm": 150.0, "theta_from": -0.9, "theta_to": -1.8, "step": 0.05,
+             "flex_gain": 2.0, "flex_offset": 0.5}
+    assert set(given) == {f.name for f in fields(SlideConfig)}
+    out = tmp_path / "run"
+    argv = [arg for key, value in given.items() for arg in (f"--{key.replace('_', '-')}", value)]
+    assert run_cli("simulate-slide", *argv, "--out", out) == 0
+    parameters = json.loads((out / "run_manifest.json").read_text())["parameters"]
+    assert {key: parameters[key] for key in given} == given
+    assert json.loads((out / "slide_summary.json").read_text())["surface_y_mm"] == 150.0
+    rows = (out / "slide_trace.csv").read_text().splitlines()[1:]
+    assert [float(rows[i].split(",")[0]) for i in (0, -1)] == [-0.9, -1.8]
+    assert len(rows) == 19
+    assert float(rows[0].split(",")[4]) == 0.5 + 2.0 * float(rows[0].split(",")[3])
+
+
+def test_default_slide_range_follows_the_geometry(tmp_path, capsys):
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps({**_shipped("geometry_default.json"),
+                                "theta_open": -0.6, "theta_closed": -1.0}))
+    out = tmp_path / "run"
+    assert run_cli("simulate-slide", "--geometry", path, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "slide_summary.json").read_text())
+    assert summary["closure_theta"] == -1.0 - 0.5  # the geometry's slide_floor
+    first = (out / "slide_trace.csv").read_text().splitlines()[1]
+    assert float(first.split(",")[0]) == -0.6

@@ -20,6 +20,7 @@ EXPECTED_EXIT_CODES = {
     errors.ObjectTooLargeError: 5,
     errors.ObjectTooSmallError: 5,
     errors.SurfaceConflictError: 5,
+    errors.NoContactError: 6,
 }
 
 

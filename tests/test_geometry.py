@@ -7,6 +7,7 @@ script after any change to the default geometry.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_base_length_frozen_via_chain(geom):
 
 def test_base_length_never_below_d(geom):
     for th in np.linspace(-1.9, -0.8, 50):
-        st = forward_kinematics(geom, float(th), window="ignore")
+        st = forward_kinematics(geom, float(th))
         assert st.b >= geom.d
 
 
@@ -139,7 +140,7 @@ def test_base_length_equals_d_iff_delta_zero():
     probe = small_geometry()
     y_b = slider_coordinate(probe, -1.0)
     g = small_geometry(e=y_b, c=0.0)
-    st = forward_kinematics(g, -1.0, window="ignore")
+    st = forward_kinematics(g, -1.0)
     assert st.delta == 0.0
     assert st.b == g.d
 
@@ -156,7 +157,7 @@ def test_fingertip_angle_half_base_displacement():
 
 
 def test_fingertip_angle_frozen(geom):
-    st = forward_kinematics(geom, -1.0, window="ignore")
+    st = forward_kinematics(geom, -1.0)
     assert st.alpha == pytest.approx(FROZEN_STATES[-1.0]["alpha"], abs=ORACLE_ATOL)
 
 
@@ -193,7 +194,7 @@ def test_fingertip_positions_frozen(geom):
 
 @pytest.mark.parametrize("theta", sorted(FROZEN_STATES))
 def test_forward_kinematics_matches_oracle(geom, theta):
-    st = forward_kinematics(geom, theta, window="ignore")
+    st = forward_kinematics(geom, theta)
     for field, expected in FROZEN_STATES[theta].items():
         assert getattr(st, field) == pytest.approx(expected, abs=ORACLE_ATOL), field
 
@@ -219,19 +220,25 @@ def test_monotonicities_over_operating_range(geom):
 def test_forward_kinematics_even(geom):
     rng = np.random.default_rng(3)
     for th in rng.uniform(-1.9, -0.8, 100):
-        a = forward_kinematics(geom, float(th), window="ignore")
-        b = forward_kinematics(geom, -float(th), window="ignore")
+        a = forward_kinematics(geom, float(th))
+        b = forward_kinematics(geom, -float(th))
         assert (a.y_b, a.delta, a.b, a.alpha, a.x_left, a.x_right, a.y_tip) == (
             b.y_b, b.delta, b.b, b.alpha, b.x_left, b.x_right, b.y_tip
         )
 
 
-def test_forward_kinematics_window_modes(geom):
+def test_check_window_modes(geom):
     with pytest.warns(OperatingRangeWarning):
+        geometry_mod.check_window(geom, -1.6)
+    with pytest.raises(DomainError, match="outside operating window"):
+        geometry_mod.check_window(geom, np.array([-1.0, -1.6]), "strict")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geometry_mod.check_window(geom, -1.6, "ignore")
+        geometry_mod.check_window(geom, np.array([geom.theta_closed, geom.theta_open]), "strict")
+        # The chain itself checks no window: the sliding regime runs past it.
         forward_kinematics(geom, -1.6)
-    with pytest.raises(DomainError):
-        forward_kinematics(geom, -1.6, window="strict")
-    forward_kinematics(geom, -1.6, window="ignore")
+        fingertip_jacobian(geom, -1.6)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +295,8 @@ def test_jacobian_matches_central_differences(geom):
     for th in np.linspace(geom.theta_closed + 1e-3, geom.theta_open - 1e-3, 50):
         th = float(th)
         jx, jy = fingertip_jacobian(geom, th)
-        plus = forward_kinematics(geom, th + h, window="ignore")
-        minus = forward_kinematics(geom, th - h, window="ignore")
+        plus = forward_kinematics(geom, th + h)
+        minus = forward_kinematics(geom, th - h)
         fd_x = (plus.x_left - minus.x_left) / (2 * h)
         fd_y = (plus.y_tip - minus.y_tip) / (2 * h)
         assert abs(jx - fd_x) <= 1e-6 * max(abs(fd_x), 1.0)
@@ -299,7 +306,7 @@ def test_jacobian_matches_central_differences(geom):
 def test_jacobian_is_odd(geom):
     for th in (-0.9, -1.1, -1.3):
         jx, jy = fingertip_jacobian(geom, th)
-        jx_m, jy_m = fingertip_jacobian(geom, -th, window="ignore")
+        jx_m, jy_m = fingertip_jacobian(geom, -th)
         assert jx == -jx_m
         assert jy == -jy_m
 
@@ -311,7 +318,7 @@ def test_jacobian_reduction_at_zero_displacement():
     y_b = slider_coordinate(probe, -1.0)
     g = small_geometry(e=y_b, c=0.0)
     th = -1.0
-    st = forward_kinematics(g, th, window="ignore")
+    st = forward_kinematics(g, th)
     assert st.delta == 0.0
 
     sin_t, cos_t = math.sin(th), math.cos(th)
@@ -319,7 +326,7 @@ def test_jacobian_reduction_at_zero_displacement():
     d_delta = g.r1 * sin_t + (g.r1 ** 2 * sin_t * cos_t) / root
     d_alpha = d_delta / st.b
 
-    jx, jy = fingertip_jacobian(g, th, window="ignore")
+    jx, jy = fingertip_jacobian(g, th)
     assert jx == pytest.approx(-g.l * math.sin(st.alpha) * d_alpha, rel=1e-12)
     assert jy == pytest.approx(g.l * math.cos(st.alpha) * d_alpha, rel=1e-12)
 
@@ -328,7 +335,7 @@ def test_jacobian_singularity_raises(geom):
     # Past the extended window the base length crosses 2l; expect a domain
     # error there, not garbage derivatives.
     with pytest.raises(DomainError):
-        fingertip_jacobian(geom, -1.96, window="ignore")
+        fingertip_jacobian(geom, -1.96)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +406,7 @@ def test_motor_trajectory_rejects_non_finite_samples(samples):
 def test_mirror_symmetry_exact_over_extended_window(geom):
     rng = np.random.default_rng(11)
     for th in rng.uniform(-1.9, -0.8, 1000):
-        st = forward_kinematics(geom, float(th), window="ignore")
+        st = forward_kinematics(geom, float(th))
         assert st.x_left + st.x_right == 0.0
 
 

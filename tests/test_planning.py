@@ -124,7 +124,7 @@ def test_pinch_holds_world_fingertip_height(geom):
     theta0 = plan.motor_trajectory.samples[0]
     base = forward_kinematics(geom, theta0).y_tip
     for theta, comp in plan.arm_compensation:
-        world = forward_kinematics(geom, theta, window="ignore").y_tip + comp
+        world = forward_kinematics(geom, theta).y_tip + comp
         assert abs(world - base) <= 1e-9
     assert plan.approach == "vertical"
 
