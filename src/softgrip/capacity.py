@@ -106,10 +106,10 @@ class CapacityModel:
         """Largest payload across the diameter curve for a configuration."""
         return max(p for _, p in self._curve(approach, hinged))
 
-    def hinge_gain(self, approach: str, diameter_mm: float = REFERENCE_DIAMETER_MM) -> float:
-        """Reinforced/unreinforced payload ratio at a diameter."""
-        return self.payload_limit(diameter_mm, approach, True) / self.payload_limit(
-            diameter_mm, approach, False
+    def hinge_gain(self, approach: str) -> float:
+        """Reinforced/unreinforced payload ratio at REFERENCE_DIAMETER_MM."""
+        return self.payload_limit(REFERENCE_DIAMETER_MM, approach, True) / self.payload_limit(
+            REFERENCE_DIAMETER_MM, approach, False
         )
 
     def predict_deflection(self, hinged: bool, payload_fraction: float) -> float:

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Optional
@@ -41,7 +41,8 @@ from .perception import (
     parse_cloud,
     transform_cloud,
 )
-from .planning import plan_envelope_grasp, plan_pinch_grasp, validate_plan, write_plan_csv
+from .planning import (DEFAULT_SQUEEZE_MARGIN_MM, plan_envelope_grasp, plan_pinch_grasp,
+                       validate_plan, write_plan_csv)
 from .simulate import SlideConfig, simulate_slide, write_slide_trace_csv
 
 CONFIG_ENV_VAR = "SOFTGRIP_CONFIG"
@@ -64,15 +65,10 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | None, run: RunDir) -> "RunConfig":
         """The config in ``path`` (none: every key absent), read and hashed as
-        an input of ``run``, with its file paths resolved against its directory."""
+        an input of ``run``; its file paths stay as written (see _load_model)."""
         if path is None:
             return cls()
-        cfg = from_dict(cls, run.read_json(path), f"run config {path}")
-        base = Path(path).parent  # an absolute path in the file replaces it
-        return replace(cfg, **{
-            key: str(base / value) for key in ("geometry", "capacity")
-            if (value := getattr(cfg, key)) is not None
-        })
+        return from_dict(cls, run.read_json(path), f"run config {path}")
 
 
 class RunDir:
@@ -135,12 +131,15 @@ class RunDir:
 
 
 def _load_model(args, cfg: RunConfig, run: RunDir, key: str, parse, default):
-    """Parse the JSON file named by --KEY, else by the run config's KEY;
-    with neither, the shipped default."""
-    path = getattr(args, key)
+    """Parse the JSON file named by --KEY, else by the run config's KEY
+    (relative to the config's directory); with neither, the shipped default."""
+    path, source = getattr(args, key), f"--{key}"
+    if path is None:
+        path, source = getattr(cfg, key), f"run config {args.config} key {key!r}"
+        if path:  # an absolute path in the config replaces its directory
+            path = Path(args.config).parent / path
     if path == "":
-        raise ConfigError(f"--{key} must not be empty")
-    path = getattr(cfg, key) if path is None else path
+        raise ConfigError(f"{source} must not be empty")
     return default() if path is None else parse(run.read_json(Path(path)), f"{key} {path}")
 
 
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--mass", type=float, required=True, help="object mass (kg)")
     p_plan.add_argument("--unhinged", action="store_true",
                         help="validate for the unreinforced finger configuration")
-    p_plan.add_argument("--squeeze-margin-mm", type=float, default=5.0)
+    p_plan.add_argument("--squeeze-margin-mm", type=float, default=DEFAULT_SQUEEZE_MARGIN_MM)
     p_plan.add_argument("--surface-y-mm", type=float, help="support surface for pinch plans")
     p_plan.add_argument("--residual-fraction", type=float, default=0.0)
     p_plan.set_defaults(func=cmd_plan)

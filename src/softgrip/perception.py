@@ -1,10 +1,10 @@
 """Point-cloud ingestion, calibrated merging, cropping, and object sizing.
 
-Clouds are meters; the gripper geometry is millimeters.  The single unit
-conversion happens where a decision needs the aperture (decide_approach)
-or where the planner receives extents.  Parsing covers plain ASCII XYZ
-(one "x y z" record per line, '#' comments) and the ASCII PCD v0.7 subset
-with FIELDS x y z.
+Clouds are meters; the gripper geometry is millimeters.  The one unit
+conversion is object_diameter_mm, and exceeds_aperture, which decide_approach
+and both planners call, is the one test of an object against the open
+fingers.  Parsing covers plain ASCII XYZ (one "x y z" record per line, '#'
+comments) and the ASCII PCD v0.7 subset with FIELDS x y z.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,15 +22,16 @@ from .errors import (
     EmptyCloudError,
     FrameMismatchError,
     InvalidPoseError,
+    ObjectTooLargeError,
     ParseError,
 )
-from .geometry import GripperGeometry, aperture
+from .geometry import GripperGeometry, aperture_window
 from .inputs import from_dict
 
 __all__ = [
     "ApproachDecision", "Box", "ObjectEstimate", "PointCloud", "ScenePose", "crop_cloud",
-    "decide_approach", "estimate_object", "load_cloud", "max_aperture_m", "merge_clouds",
-    "parse_cloud", "transform_cloud", "write_cloud_xyz",
+    "decide_approach", "estimate_object", "exceeds_aperture", "load_cloud", "merge_clouds",
+    "object_diameter_mm", "parse_cloud", "transform_cloud", "write_cloud_xyz",
 ]
 
 GLOBAL_FRAME = "global"
@@ -160,22 +161,19 @@ class ObjectEstimate:
             raise ConfigError(f"dominant_axis must be one of {AXIS_NAMES}")
 
     def to_dict(self) -> dict:
-        return {
-            "centroid_m": list(self.centroid),
-            "extents_m": list(self.extents),
-            "point_count": self.point_count,
-            "dominant_axis": self.dominant_axis,
-        }
+        return {_ESTIMATE_KEYS.get(k, k): list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, raw: dict, what: str = "object estimate") -> "ObjectEstimate":
         """Inverse of to_dict."""
         if isinstance(raw, dict):
-            raw = {_ESTIMATE_FIELDS.get(k, k): v for k, v in raw.items()}
+            fields_by_key = {key: name for name, key in _ESTIMATE_KEYS.items()}
+            raw = {fields_by_key.get(k, k): v for k, v in raw.items()}
         return from_dict(cls, raw, what)
 
 
-_ESTIMATE_FIELDS = {"centroid_m": "centroid", "extents_m": "extents"}
+_ESTIMATE_KEYS = {"centroid": "centroid_m", "extents": "extents_m"}  # JSON keys with units
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +454,23 @@ class ApproachDecision:
     reason: str
 
     def to_dict(self) -> dict:
-        return {"approach": self.approach, "reason": self.reason}
+        return asdict(self)
 
 
-def max_aperture_m(geom: GripperGeometry) -> float:
-    """Fully-open fingertip aperture converted to meters."""
-    return aperture(geom, geom.theta_open) / 1000.0
+def object_diameter_mm(est: ObjectEstimate) -> float:
+    """Graspable lateral extent: the smaller horizontal dimension, in mm."""
+    return min(est.extents[0], est.extents[1]) * 1000.0
+
+
+def exceeds_aperture(est: ObjectEstimate, geom: GripperGeometry) -> ObjectTooLargeError | None:
+    """The error that refuses an object wider than the fully open fingers,
+    or None when it fits."""
+    diameter = object_diameter_mm(est)
+    ap_open = aperture_window(geom)[1]
+    if diameter > ap_open:
+        return ObjectTooLargeError(f"object diameter {diameter:.1f} mm exceeds the maximum "
+                                   f"aperture {ap_open:.1f} mm")
+    return None
 
 
 def is_small_height(est: ObjectEstimate) -> bool:
@@ -474,23 +483,17 @@ def decide_approach(
 ) -> ApproachDecision:
     """Pick the grasp approach from the dominant object dimension.
 
-    Total and deterministic.  Rules, in order: small-height objects are
-    approached vertically (the manipulator must not hit the support
-    surface); otherwise the object's smaller lateral extent must fit the
-    aperture at all; a horizontally reachable object is approached
+    Total and deterministic.  Rules, in order: an object wider than the open
+    fingers (exceeds_aperture, as in the planners) is ungraspable; small-height
+    objects are approached vertically (the manipulator must not hit the
+    support surface); a horizontally reachable object is approached
     horizontally (tall objects because their dominant extent is vertical);
     outside the workspace box the approach falls back to vertical.
     """
-    ex, ey, _ = est.extents
-    lateral = min(ex, ey)
-    ap = max_aperture_m(geom)
-
+    if exceeds_aperture(est, geom) is not None:
+        return ApproachDecision(APPROACH_UNGRASPABLE, "exceeds_aperture")
     if is_small_height(est):
-        if lateral <= ap:
-            return ApproachDecision(APPROACH_VERTICAL, "small_height")
-        return ApproachDecision(APPROACH_UNGRASPABLE, "exceeds_aperture")
-    if lateral > ap:
-        return ApproachDecision(APPROACH_UNGRASPABLE, "exceeds_aperture")
+        return ApproachDecision(APPROACH_VERTICAL, "small_height")
     if limits.contains(est.centroid):
         if est.dominant_axis == "Z":
             return ApproachDecision(APPROACH_HORIZONTAL, "dominant_vertical_extent")

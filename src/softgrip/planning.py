@@ -13,7 +13,7 @@ millimeters, converted once on entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import IO, Optional
 
@@ -42,7 +42,9 @@ from .perception import (
     APPROACH_VERTICAL,
     SMALL_HEIGHT_THRESHOLD_M,
     ObjectEstimate,
+    exceeds_aperture,
     is_small_height,
+    object_diameter_mm,
 )
 
 __all__ = [
@@ -98,11 +100,6 @@ class GraspPlan:
         }
 
 
-def object_diameter_mm(est: ObjectEstimate) -> float:
-    """Graspable lateral extent: the smaller horizontal dimension, in mm."""
-    return min(est.extents[0], est.extents[1]) * 1000.0
-
-
 def plan_envelope_grasp(
     geom: GripperGeometry,
     est: ObjectEstimate,
@@ -134,11 +131,8 @@ def plan_envelope_grasp(
             f"object diameter {diameter:.1f} mm below the {LARGE_OBJECT_THRESHOLD_MM:g} mm "
             "envelope class; use the pinch planner"
         )
-    if diameter > ap_open:
-        raise ObjectTooLargeError(
-            f"object diameter {diameter:.1f} mm exceeds the maximum aperture "
-            f"{ap_open:.1f} mm"
-        )
+    if (too_wide := exceeds_aperture(est, geom)) is not None:
+        raise too_wide
 
     plan_warnings: list[str] = []
     target_aperture = diameter - squeeze_margin_mm
@@ -198,13 +192,8 @@ def plan_pinch_grasp(
             f"object height {est.extents[2] * 1000.0:.1f} mm exceeds the "
             f"{SMALL_HEIGHT_THRESHOLD_M * 1000:g} mm pinch class; use the envelope planner"
         )
-    _, ap_open = aperture_window(geom)
-    diameter = object_diameter_mm(est)
-    if diameter > ap_open:
-        raise ObjectTooLargeError(
-            f"object diameter {diameter:.1f} mm exceeds the maximum aperture "
-            f"{ap_open:.1f} mm"
-        )
+    if (too_wide := exceeds_aperture(est, geom)) is not None:
+        raise too_wide
 
     theta_start = geom.theta_open
     tip_start = forward_kinematics(geom, theta_start).y_tip
@@ -242,15 +231,7 @@ class ValidationReport:
         return self.payload_ok and self.aperture_ok
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "payload_ok": self.payload_ok,
-            "payload_limit_kg": self.payload_limit_kg,
-            "payload_margin_kg": self.payload_margin_kg,
-            "predicted_deflection_mm": self.predicted_deflection_mm,
-            "aperture_ok": self.aperture_ok,
-            "messages": list(self.messages),
-        }
+        return {**asdict(self), "messages": list(self.messages), "passed": self.passed}
 
 
 def validate_plan(

@@ -229,12 +229,12 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
 DIRECTION_DESCEND = "descend"
 DIRECTION_HOLD = "hold"
 DIRECTION_ASCEND = "ascend"
+FLEX_OFFSET_ATOL = 1e-9  # a flex this close to its offset reads as no contact
 
 
 def flex_feedback_direction(
     records: Sequence[SlideRecord],
     flex_offset: float = 0.0,
-    offset_atol: float = 1e-9,
     ascend_threshold: float = 1.0,
 ) -> str:
     """Manipulator guidance from a flex-trace suffix.
@@ -250,7 +250,7 @@ def flex_feedback_direction(
             f"need at least 2 trace records, got {len(records)}"
         )
     flex = [r.flex for r in records]
-    if all(abs(f - flex_offset) <= offset_atol for f in flex):
+    if all(abs(f - flex_offset) <= FLEX_OFFSET_ATOL for f in flex):
         return DIRECTION_DESCEND
     rates = [b - a for a, b in zip(flex, flex[1:])]
     if max(rates) > ascend_threshold:

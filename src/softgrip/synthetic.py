@@ -15,9 +15,8 @@ def make_cylinder(
     n_points: int = 5000,
     seed: int = 0,
     center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    frame_id: str = GLOBAL_FRAME,
 ) -> PointCloud:
-    """Uniform surface samples of an upright (z-axis) cylinder.
+    """Uniform surface samples of an upright (z-axis) cylinder, global frame.
 
     Points are split between the lateral surface and the end caps in
     proportion to their areas, so the axis-aligned bounding box matches
@@ -43,7 +42,7 @@ def make_cylinder(
         parts.append(np.column_stack((r_c * np.cos(phi_c), r_c * np.sin(phi_c), z_c)))
 
     pts = np.vstack(parts) + np.asarray(center, dtype=np.float64)
-    return PointCloud(pts, frame_id)
+    return PointCloud(pts, GLOBAL_FRAME)
 
 
 def uniform_box_noise(
@@ -51,10 +50,9 @@ def uniform_box_noise(
     side_m: float = 1.0,
     seed: int = 1,
     center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    frame_id: str = GLOBAL_FRAME,
 ) -> PointCloud:
-    """Uniform outlier points inside a cube of the given side length."""
+    """Uniform outlier points inside a cube of the given side length, global frame."""
     rng = np.random.default_rng(seed)
     half = side_m / 2.0
     pts = rng.uniform(-half, half, size=(n_points, 3)) + np.asarray(center, dtype=np.float64)
-    return PointCloud(pts, frame_id)
+    return PointCloud(pts, GLOBAL_FRAME)

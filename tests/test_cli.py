@@ -377,13 +377,15 @@ def test_capacity_file_that_is_not_json_exits_2_and_names_it(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_console_script_is_installed():
+def test_console_script_is_installed(tmp_path):
     exe = shutil.which("softgrip")
     if exe is None:
         pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "fk", "--theta", "-0.8", "--out", "/tmp/softgrip_cli_check"],
+    out = tmp_path / "run"
+    proc = subprocess.run([exe, "fk", "--theta", "-0.8", "--out", str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    assert (out / "fk_trace.csv").is_file()
 
 
 def test_unknown_command_exits_2():
@@ -772,6 +774,23 @@ def test_an_empty_model_path_exits_2_and_names_the_flag(tmp_path, capsys, flag):
     out = tmp_path / "run"
     assert run_cli(*argv, f"--{flag}", "", "--out", out) == 2
     assert capsys.readouterr().err == f"softgrip: --{flag} must not be empty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["geometry", "capacity"])
+def test_an_empty_model_path_in_the_run_config_exits_2_and_names_the_key(tmp_path, capsys,
+                                                                          key):
+    if key == "geometry":
+        argv = ["fk", "--theta", -0.8]
+    else:
+        argv = ["plan", "--estimate", write_estimate(tmp_path, ENVELOPE), "--mass", 0.1]
+    cfg = tmp_path / "ce" / "cfg.json"  # resolving "" against its directory names "ce"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({key: ""}))
+    out = tmp_path / "run"
+    assert run_cli("--config", cfg, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"softgrip: run config {cfg} key '{key}' must not be empty\n")
     assert not out.exists()
 
 

@@ -13,11 +13,11 @@ from softgrip import (
     ParseError,
     PointCloud,
     ScenePose,
+    aperture_window,
     crop_cloud,
     decide_approach,
     estimate_object,
     make_cylinder,
-    max_aperture_m,
     merge_clouds,
     parse_cloud,
     transform_cloud,
@@ -240,8 +240,8 @@ def test_merge_is_order_free_for_extents():
 
 
 def test_merge_rejects_frame_mix():
-    a = make_cylinder(n_points=10, seed=1, frame_id="global")
-    b = make_cylinder(n_points=10, seed=1, frame_id="camera")
+    a = make_cylinder(n_points=10, seed=1)
+    b = PointCloud(a.points, "camera")
     with pytest.raises(FrameMismatchError):
         merge_clouds([a, b])
 
@@ -364,7 +364,7 @@ def test_tall_object_goes_horizontal(geom):
     decision = decide_approach(make_estimate((0.06, 0.06, 0.20)), geom)
     assert decision.approach == "horizontal"
     assert decision.reason == "dominant_vertical_extent"
-    assert max_aperture_m(geom) > 0.06
+    assert aperture_window(geom)[1] > 60.0
 
 
 def test_oversized_object_ungraspable(geom):

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from softgrip import (
     SurfaceConflictError,
     aperture,
     aperture_window,
+    decide_approach,
     forward_kinematics,
     plan_envelope_grasp,
     plan_pinch_grasp,
@@ -82,6 +84,25 @@ def test_envelope_degenerate_start_equals_target(geom):
 def test_envelope_rejects_oversized_object(geom):
     with pytest.raises(ObjectTooLargeError):
         plan_envelope_grasp(geom, estimate_for(0.14, 0.2))
+
+
+def test_decision_and_planner_share_one_aperture_test(geom):
+    # On this linkage the open aperture a is 102.9715823779999 mm.  The width
+    # one ulp above a / 1000 m is above a / 1000 in meters, yet it rounds back
+    # to a in millimeters, so a test in each unit would disagree there.
+    wide = replace(geom, delta_x=89.005)
+    width = np.nextafter(aperture_window(wide)[1] / 1000.0, 1.0)
+    assert width == 0.1029715823779999
+    assert decide_approach(estimate_for(width, 0.12), wide).approach == "horizontal"
+    for w in width + np.spacing(width) * np.arange(-2, 3):
+        est = estimate_for(float(w), 0.12)
+        refused = decide_approach(est, wide).approach == "ungraspable"
+        try:
+            plan_envelope_grasp(wide, est)
+        except ObjectTooLargeError:
+            assert refused, w
+        else:
+            assert not refused, w
 
 
 def test_envelope_rejects_small_object(geom):
