@@ -29,6 +29,7 @@ from .errors import ConfigError, EmptyCloudError, NoContactError, ParseError, So
 from .geometry import GripperGeometry, default_geometry
 from .inputs import decode_json, from_dict, read_bytes
 from .perception import (
+    DEFAULT_TRIM_FRACTION,
     DEFAULT_WORKSPACE,
     Box,
     ObjectEstimate,
@@ -61,14 +62,6 @@ class RunConfig:
     roi: Optional[Box] = None
     workspace_limits: Optional[Box] = None
     slide: dict = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: str | None, run: RunDir) -> "RunConfig":
-        """The config in ``path`` (none: every key absent), read and hashed as
-        an input of ``run``; its file paths stay as written (see _load_model)."""
-        if path is None:
-            return cls()
-        return from_dict(cls, run.read_json(path), f"run config {path}")
 
 
 class RunDir:
@@ -148,18 +141,15 @@ def _load_model(args, cfg: RunConfig, run: RunDir, key: str, parse, default):
 # ---------------------------------------------------------------------------
 
 def cmd_fk(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
-    window = "strict" if args.strict else "warn"
-
     if args.theta is not None:
         if args.theta_from is not None or args.theta_to is not None:
             raise ConfigError("use either --theta or --from/--to, not both")
         trajectory = geometry_mod.MotorTrajectory(samples=(args.theta,), step=args.step)
-        geometry_mod.check_window(geom, args.theta, window)
     else:
         if args.theta_from is None or args.theta_to is None:
             raise ConfigError("need --theta or both --from and --to")
-        trajectory = geometry_mod.sample_trajectory(geom, args.theta_from, args.theta_to,
-                                                    args.step, window)
+        trajectory = geometry_mod.sample_trajectory(geom, args.theta_from, args.theta_to, args.step)
+    geometry_mod.check_window(geom, trajectory.samples, args.strict)
 
     trace = geometry_mod.fk_trace(geom, trajectory)
     out_path = run.write(
@@ -341,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="size an object from a scene manifest")
     p_est.add_argument("--manifest", required=True, help="scene manifest JSON")
     p_est.add_argument("--roi", help="crop box x0,y0,z0,x1,y1,z1 (meters)")
-    p_est.add_argument("--trim", type=float, default=0.01, help="percentile trim fraction")
+    p_est.add_argument("--trim", type=float, default=DEFAULT_TRIM_FRACTION,
+                       help="percentile trim fraction")
     p_est.set_defaults(func=cmd_estimate)
 
     p_plan = sub.add_parser("plan", parents=[common], help="plan a grasp from an object estimate")
@@ -377,7 +368,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             run = RunDir(args)
-            cfg = RunConfig.load(args.config, run)
+            cfg = (RunConfig() if args.config is None else
+                   from_dict(RunConfig, run.read_json(args.config), f"run config {args.config}"))
             geom = _load_model(args, cfg, run, "geometry", partial(from_dict, GripperGeometry),
                                default_geometry)
             args.func(args, cfg, run, geom)

@@ -11,9 +11,9 @@ labeling choice.
 
 Every chain function takes a scalar or a numpy array of angles, is
 vectorized elementwise and checks no operating window, which the sliding
-regime exceeds; only check_window and sample_trajectory check it, and only
-they warn.  All functions are safe to call concurrently.  Trajectories and
-traces hold read-only float64 columns; write_columns writes every trace.
+regime exceeds; only check_window checks it, and only it warns.  All
+functions are safe to call concurrently.  Trajectories and traces hold
+read-only float64 columns; write_columns writes every trace.
 """
 
 from __future__ import annotations
@@ -231,22 +231,17 @@ class Trace:
         return tuple(map(type(self.columns), *(c.tolist() for c in self.columns)))
 
 
-def check_window(geom: GripperGeometry, theta: FloatOrArray, window: str = "warn") -> None:
-    """Soft/strict operating-window check of a scalar or array theta:
-    "warn" emits OperatingRangeWarning, "strict" raises DomainError,
-    "ignore" does nothing."""
-    if window == "ignore":
-        return
+def check_window(geom: GripperGeometry, theta: FloatOrArray, strict: bool = False) -> None:
+    """Operating-window check of a scalar or array theta: emits
+    OperatingRangeWarning, or raises DomainError when strict."""
     lo, hi = float(np.min(theta)), float(np.max(theta))
     if geom.theta_closed <= lo and hi <= geom.theta_open:
         return
-    msg = (
-        f"theta={lo if lo < geom.theta_closed else hi:.6g} outside operating window "
-        f"[{geom.theta_closed}, {geom.theta_open}]"
-    )
-    if window == "strict":
+    msg = (f"theta={lo if lo < geom.theta_closed else hi:.6g} outside operating window "
+           f"[{geom.theta_closed}, {geom.theta_open}]")
+    if strict:
         raise DomainError(msg)
-    warnings.warn(msg, OperatingRangeWarning, stacklevel=3)
+    warnings.warn(msg, OperatingRangeWarning, stacklevel=2)
 
 
 def slider_coordinate(geom: GripperGeometry, theta: FloatOrArray) -> FloatOrArray:
@@ -384,7 +379,6 @@ def sample_trajectory(
     theta_from: float,
     theta_to: float,
     step: float = DEFAULT_STEP,
-    window: str = "warn",
 ) -> MotorTrajectory:
     """Inclusive monotone sampling from theta_from to theta_to.
 
@@ -407,8 +401,6 @@ def sample_trajectory(
             f"step {step} over [{theta_from}, {theta_to}] needs more than "
             f"{MAX_TRAJECTORY_SAMPLES} samples"
         )
-    check_window(geom, theta_from, window)
-    check_window(geom, theta_to, window)
 
     direction = 1.0 if span > 0 else -1.0
     n_full = int(math.floor(steps))

@@ -38,6 +38,7 @@ GLOBAL_FRAME = "global"
 CAMERA_FRAME = "camera"
 
 AXIS_NAMES = ("X", "Y", "Z")
+DEFAULT_TRIM_FRACTION = 0.01  # of the points cut from each end of each axis
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +71,13 @@ class PointCloud:
 class ScenePose:
     """Camera-to-global rigid transform as a 4x4 row-major matrix.
 
-    ``rotation_t`` is R^T as its own C-contiguous array, the right-hand
-    operand of transform_cloud.  For two or more points the strided view
-    ``rotation.T`` gives the same bits (both go to BLAS gemm), but OpenBLAS
-    can take a far slower path for it (~40 ms against ~2 ms per 100k-point
-    view, measured on a 2-vCPU x86-64 VM).  A single point goes to gemv,
-    whose plain and transposed kernels sum in different orders, so
-    transform_cloud keeps the strided view there.
+    ``rotation_t`` is R^T as its own C-contiguous array, the right-hand operand
+    of transform_cloud.  For two or more points the strided view ``rotation.T``
+    gives the same values (both go to BLAS gemm, though the sign of an
+    underflowed zero may differ), but OpenBLAS can take a far slower path for it
+    (~40 ms against ~2 ms per 100k-point view, measured on a 2-vCPU x86-64 VM).
+    A single point goes to gemv, whose plain and transposed kernels sum in
+    different orders, so transform_cloud keeps the strided view there.
     """
 
     transform: np.ndarray
@@ -400,7 +401,8 @@ def crop_cloud(cloud: PointCloud, roi: Box) -> PointCloud:
     return PointCloud(cloud.points[mask], cloud.frame_id)
 
 
-def estimate_object(cloud: PointCloud, trim_fraction: float = 0.01) -> ObjectEstimate:
+def estimate_object(cloud: PointCloud,
+                    trim_fraction: float = DEFAULT_TRIM_FRACTION) -> ObjectEstimate:
     """Percentile-trimmed axis-aligned extents plus centroid.
 
     Per axis the [p, 1-p] percentile range defines the extent; the centroid

@@ -196,7 +196,7 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
             stacklevel=2,
         )
 
-    trajectory = sample_trajectory(geom, cfg.theta_from, cfg.theta_to, cfg.step, window="ignore")
+    trajectory = sample_trajectory(geom, cfg.theta_from, cfg.theta_to, cfg.step)
     theta = trajectory.samples
     y_free = forward_kinematics(geom, theta).y_tip
     # The last sample is theta_to exactly, so its tip height is the default surface.

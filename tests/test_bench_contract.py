@@ -72,7 +72,7 @@ def test_trace_lengths_are_row_counts(spans, geom):
     trajectory = sample_trajectory(geom, -0.8, -1.4, 0.015)
     assert spans._rows((), fk_trace(geom, trajectory)) == {"items": 41}
     slide = simulate_slide(geom, SlideConfig())
-    rows = len(sample_trajectory(geom, -0.8, -1.9, 0.015, window="ignore"))
+    rows = len(sample_trajectory(geom, -0.8, -1.9, 0.015))
     assert spans._rows((), slide) == {"items": len(slide.records)} == {"items": rows}
 
 

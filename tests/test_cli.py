@@ -89,6 +89,37 @@ def test_fk_strict_out_of_window_exits_3(tmp_path):
     assert run_cli("fk", "--theta", -3.2, "--strict", "--out", tmp_path / "run") == 3
 
 
+def printed_warnings(err):
+    return [line for line in err.splitlines() if line.startswith("softgrip: warning:")]
+
+
+def test_fk_sweep_with_both_ends_outside_the_window_warns_once(tmp_path, capsys):
+    assert run_cli("fk", "--from", -0.5, "--to", -1.6, "--out", tmp_path / "run") == 0
+    assert printed_warnings(capsys.readouterr().err) == [
+        "softgrip: warning: theta=-1.6 outside operating window [-1.4, -0.8]"
+    ]
+
+
+def test_fk_strict_sweep_outside_the_window_names_the_lower_end(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("fk", "--from", -0.5, "--to", -1.6, "--strict", "--out", out) == 3
+    assert capsys.readouterr().err == (
+        "softgrip: theta=-1.6 outside operating window [-1.4, -0.8]\n"
+    )
+    assert not out.exists()
+
+
+def test_slide_and_planner_sweeps_print_no_warning(tmp_path, capsys):
+    # Only fk checks the window; the slide runs past theta_closed by design.
+    assert run_cli("simulate-slide", "--out", tmp_path / "slide") == 0
+    envelope = write_estimate(tmp_path, (0.08, 0.08, 0.12), name="envelope.json")
+    assert run_cli("plan", "--estimate", envelope, "--mass", 0.1, "--out", tmp_path / "e") == 0
+    pinch = write_estimate(tmp_path, (0.03, 0.03, 0.008), centroid=(0.0, 0.0, 0.004),
+                           name="pinch.json")
+    assert run_cli("plan", "--estimate", pinch, "--mass", 0.02, "--out", tmp_path / "p") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_fk_conflicting_arguments_exit_2(tmp_path):
     rc = run_cli("fk", "--theta", -0.8, "--from", -0.8, "--to", -1.4,
                  "--out", tmp_path / "run")

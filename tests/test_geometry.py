@@ -231,11 +231,11 @@ def test_check_window_modes(geom):
     with pytest.warns(OperatingRangeWarning):
         geometry_mod.check_window(geom, -1.6)
     with pytest.raises(DomainError, match="outside operating window"):
-        geometry_mod.check_window(geom, np.array([-1.0, -1.6]), "strict")
+        geometry_mod.check_window(geom, np.array([-1.0, -1.6]), strict=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        geometry_mod.check_window(geom, -1.6, "ignore")
-        geometry_mod.check_window(geom, np.array([geom.theta_closed, geom.theta_open]), "strict")
+        geometry_mod.check_window(geom, np.array([geom.theta_closed, geom.theta_open]))
+        geometry_mod.check_window(geom, np.array([geom.theta_closed, geom.theta_open]), True)
         # The chain itself checks no window: the sliding regime runs past it.
         forward_kinematics(geom, -1.6)
         fingertip_jacobian(geom, -1.6)
@@ -355,7 +355,8 @@ def test_sample_trajectory_single_step(geom):
 
 
 def test_sample_trajectory_sliding_range_terminal(geom):
-    with pytest.warns(OperatingRangeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # sampling checks no window: the slide runs past it
         traj = sample_trajectory(geom, -0.8, -1.9, 0.015)
     assert traj.samples[-1] == -1.9
     diffs = np.diff(traj.samples)
@@ -373,7 +374,7 @@ def test_sample_trajectory_degenerate_inputs(geom):
 
 def test_sample_trajectory_caps_the_sample_count(geom, monkeypatch):
     with pytest.raises(InvalidRangeError, match="samples"):
-        sample_trajectory(geom, -0.8, -1.9, 1e-12, window="ignore")
+        sample_trajectory(geom, -0.8, -1.9, 1e-12)
     with pytest.raises(InvalidRangeError, match="samples"):
         sample_trajectory(geom, -0.8, -1.4, 5e-324)  # the step count overflows to inf
     monkeypatch.setattr(geometry_mod, "MAX_TRAJECTORY_SAMPLES", 41)
