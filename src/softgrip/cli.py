@@ -63,6 +63,11 @@ class RunConfig:
     workspace_limits: Optional[Box] = None
     slide: dict = field(default_factory=dict)
 
+    @property
+    def workspace(self) -> Box:
+        """The reachable box of the approach decision."""
+        return self.workspace_limits or DEFAULT_WORKSPACE
+
 
 class RunDir:
     """Reads the inputs and writes the artifacts and provenance of one invocation."""
@@ -176,7 +181,6 @@ def _box(flag: str) -> Box:
 
 def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
     roi = _box(args.roi) if args.roi else cfg.roi
-    workspace = cfg.workspace_limits or DEFAULT_WORKSPACE
     manifest_path = Path(args.manifest)
     views = load_scene_manifest(run.read_json(manifest_path), f"manifest {manifest_path}")
 
@@ -210,7 +214,7 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> No
 
     est = estimate_object(merged, trim_fraction=args.trim)
     stage_counts["retained"] = est.point_count
-    decision = decide_approach(est, geom, workspace)
+    decision = decide_approach(est, geom, cfg.workspace)
 
     payload = {
         "estimate": est.to_dict(),
@@ -239,6 +243,10 @@ def cmd_plan(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
         raw = raw["estimate"]
     est = ObjectEstimate.from_dict(raw, f"estimate {args.estimate}")
 
+    # estimate's decision picks the approach.  Each planner checks its flags
+    # before it refuses an ungraspable object, so route by the decision's own
+    # small-height rule rather than by its verdict.
+    decision = decide_approach(est, geom, cfg.workspace)
     if is_small_height(est):
         surface = args.surface_y_mm if args.surface_y_mm is not None else float("-inf")
         plan = plan_pinch_grasp(geom, est, surface_y_mm=surface)
@@ -248,6 +256,7 @@ def cmd_plan(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
             est,
             squeeze_margin_mm=args.squeeze_margin_mm,
             residual_fraction=args.residual_fraction,
+            approach=decision.approach,
         )
 
     report = validate_plan(plan, est, args.mass, capacity, hinged=not args.unhinged)

@@ -9,7 +9,7 @@ __all__ = [
     "ConfigError", "DomainError", "EmptyCloudError", "FrameMismatchError",
     "InsufficientDataError", "InvalidPoseError", "InvalidRangeError",
     "InvariantViolationError", "MissingCapacityDataError", "NoContactError",
-    "ObjectTooLargeError", "ObjectTooSmallError", "OutOfRangeError", "ParseError",
+    "ObjectTooLargeError", "OutOfRangeError", "ParseError",
     "SoftgripError", "SurfaceConflictError",
 ]
 
@@ -85,13 +85,6 @@ class MissingCapacityDataError(SoftgripError):
 
 class ObjectTooLargeError(SoftgripError):
     """Object exceeds the gripper's aperture or the planner's class bounds."""
-
-    exit_code = 5
-
-
-class ObjectTooSmallError(SoftgripError):
-    """Object is below the envelope planner's large-object class; route to
-    the pinch planner."""
 
     exit_code = 5
 

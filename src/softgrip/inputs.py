@@ -10,10 +10,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
+import stat
 import sys
 import typing
 from importlib import resources
-from pathlib import Path
 
 from .errors import ConfigError, ParseError, SoftgripError
 
@@ -21,9 +22,14 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def read_bytes(path) -> bytes:
-    """The bytes of a file; an unreadable path raises ConfigError naming it."""
-    try:
-        return Path(path).read_bytes()
+    """The bytes of a regular file; an unreadable path, or one naming
+    anything else (a FIFO, a device), raises ConfigError naming it.  The
+    type is checked on the descriptor that is read."""
+    try:  # without O_NONBLOCK a FIFO with no writer blocks in open
+        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as stream:
+            if not stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                raise ConfigError(f"cannot read {path}: not a regular file")
+            return stream.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 

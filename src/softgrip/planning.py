@@ -1,5 +1,5 @@
-"""Grasp planning: enveloping grasps for large objects, pinch grasps for
-small ones, and capacity validation of a plan.
+"""Grasp planning: enveloping grasps, pinch grasps for small-height
+objects, and capacity validation of a plan.
 
 Both planners emit an arm-compensation trajectory alongside the motor
 trajectory.  An enveloping grasp must keep the root of the grasp (the
@@ -20,12 +20,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .capacity import CapacityModel
-from .errors import (
-    ConfigError,
-    ObjectTooLargeError,
-    ObjectTooSmallError,
-    SurfaceConflictError,
-)
+from .errors import ConfigError, ObjectTooLargeError, SurfaceConflictError
 from .geometry import (
     GripperGeometry,
     MotorTrajectory,
@@ -52,12 +47,7 @@ __all__ = [
     "validate_plan", "write_plan_csv",
 ]
 
-LARGE_OBJECT_THRESHOLD_MM = 80.0
 DEFAULT_SQUEEZE_MARGIN_MM = 5.0
-
-# Cloud-based sizing carries percent-level error, so the class boundary
-# admits objects measured marginally under it.
-CLASS_TOLERANCE_MM = 1.0
 
 
 @dataclass(frozen=True)
@@ -106,19 +96,22 @@ def plan_envelope_grasp(
     squeeze_margin_mm: float = DEFAULT_SQUEEZE_MARGIN_MM,
     *,
     residual_fraction: float = 0.0,
+    approach: str = APPROACH_HORIZONTAL,
 ) -> GraspPlan:
-    """Enveloping grasp for a large object, closing from fully open.
+    """Enveloping grasp, closing from fully open.
 
     The target motor angle reaches an aperture of (object diameter -
     squeeze margin), clamped to the operating window.  Per sample, the arm
     compensation cancels the slider displacement change so the grasp root
     stays fixed while closing; residual_fraction > 0 leaves that share of
-    the motion uncompensated (recorded in residual_uncompensated).
+    the motion uncompensated (recorded in residual_uncompensated).  The
+    compensation does not depend on the approach: the plan records the
+    approach decided for the object (perception.decide_approach), and
+    validate_plan checks the payload for it.
 
-    Raises ConfigError for a non-finite squeeze margin, ObjectTooSmallError
-    below the large-object class threshold (route those to the pinch
-    planner) and ObjectTooLargeError when the object cannot fit inside the
-    fully open fingers.
+    Raises ConfigError for a non-finite squeeze margin and
+    ObjectTooLargeError when the object cannot fit inside the fully open
+    fingers.
     """
     if not 0.0 <= residual_fraction <= 1.0:
         raise ConfigError(f"residual_fraction must be in [0, 1], got {residual_fraction}")
@@ -126,11 +119,6 @@ def plan_envelope_grasp(
         raise ConfigError(f"squeeze margin must be finite, got {squeeze_margin_mm}")
     diameter = object_diameter_mm(est)
     ap_closed, ap_open = aperture_window(geom)
-    if diameter < LARGE_OBJECT_THRESHOLD_MM - CLASS_TOLERANCE_MM:
-        raise ObjectTooSmallError(
-            f"object diameter {diameter:.1f} mm below the {LARGE_OBJECT_THRESHOLD_MM:g} mm "
-            "envelope class; use the pinch planner"
-        )
     if (too_wide := exceeds_aperture(est, geom)) is not None:
         raise too_wide
 
@@ -158,7 +146,7 @@ def plan_envelope_grasp(
         slider_displacement(geom, target_theta) - delta_start
     )
     return GraspPlan(
-        approach=APPROACH_HORIZONTAL,
+        approach=approach,
         motor_trajectory=trajectory,
         arm_compensation_mm=shift,
         residual_uncompensated=float(residual),

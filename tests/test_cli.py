@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,9 +270,45 @@ def test_plan_oversized_object_exits_5(tmp_path):
     assert run_cli("plan", "--estimate", est, "--mass", 0.1, "--out", tmp_path / "run") == 5
 
 
-def test_plan_midsize_object_exits_5(tmp_path):
+def test_plan_midsize_object_is_horizontal(tmp_path):
     est = write_estimate(tmp_path, (0.05, 0.05, 0.06))
-    assert run_cli("plan", "--estimate", est, "--mass", 0.1, "--out", tmp_path / "run") == 5
+    out = tmp_path / "run"
+    assert run_cli("plan", "--estimate", est, "--mass", 0.1, "--out", out) == 0
+    assert json.loads((out / "plan.json").read_text())["plan"]["approach"] == "horizontal"
+
+
+def _estimate_and_plan(tmp_path, diameter_m, mass, config=()):
+    """Size a 120 mm tall cylinder at x = 0.3 m, then plan from its estimate.json;
+    returns the estimate's decision and plan.json."""
+    cloud = make_cylinder(diameter_m, 0.12, 5000, seed=3, center=(0.3, 0.0, 0.06))
+    manifest = write_manifest(tmp_path, [write_scene(tmp_path, cloud)])
+    est_out, plan_out = tmp_path / "est_run", tmp_path / "plan_run"
+    assert run_cli(*config, "estimate", "--manifest", manifest, "--out", est_out) == 0
+    assert run_cli(*config, "plan", "--estimate", est_out / "estimate.json", "--mass", mass,
+                   "--out", plan_out) == 0
+    decision = json.loads((est_out / "estimate.json").read_text())["decision"]
+    return decision, json.loads((plan_out / "plan.json").read_text())
+
+
+def test_plan_validates_the_workspace_limited_approach(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workspace_limits": {"min_corner": [-0.1, -0.1, -0.1],
+                                                    "max_corner": [0.1, 0.1, 0.1]}}))
+    decision, payload = _estimate_and_plan(tmp_path, 0.09, 1.2, ("--config", cfg))
+    assert decision == {"approach": "vertical", "reason": "workspace_limited"}
+    assert payload["plan"]["approach"] == "vertical"
+    validation = payload["validation"]
+    # The vertical hinged limit at ~90 mm is ~1.126 kg; the horizontal one ~1.226 kg.
+    assert validation["payload_limit_kg"] == pytest.approx(1.126, abs=0.005)
+    assert validation["payload_ok"] is False and validation["passed"] is False
+    assert validation["predicted_deflection_mm"] is None
+
+
+def test_plan_takes_a_midsize_tall_object_horizontally(tmp_path):
+    decision, payload = _estimate_and_plan(tmp_path, 0.05, 0.1)
+    assert decision == {"approach": "horizontal", "reason": "dominant_vertical_extent"}
+    assert payload["plan"]["approach"] == "horizontal"
+    assert payload["validation"]["passed"] is True
 
 
 def test_plan_overweight_reports_failure_but_exits_0(tmp_path):
@@ -487,6 +525,33 @@ def test_estimate_unreadable_cloud_exits_2_and_names_it(tmp_path, capsys, make_c
     out = tmp_path / "run"
     assert run_cli("estimate", "--manifest", manifest, "--out", out) == 2
     assert str(tmp_path / "view0.xyz") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _fifo(tmp_path):
+    path = tmp_path / "view0.xyz"
+    os.mkfifo(path)
+    return path
+
+
+@pytest.mark.parametrize("make_cloud", [_fifo, lambda tmp_path: Path("/dev/zero")],
+                         ids=["fifo", "dev-zero"])
+def test_a_cloud_that_is_not_a_regular_file_exits_2_and_names_it(tmp_path, make_cloud):
+    # A child capped in time and address space, so that a read which blocks
+    # or never ends fails the test instead of hanging it or filling memory.
+    cloud = make_cloud(tmp_path)
+    identity = [float(v) for v in np.eye(4).ravel()]
+    manifest = write_manifest(tmp_path, [{"cloud": str(cloud), "transform": identity}])
+    code = ("import resource, sys; from softgrip.cli import main; "
+            "resource.setrlimit(resource.RLIMIT_AS, "
+            "(1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+            "sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-c", code, "estimate", "--manifest", str(manifest),
+                           "--out", str(out)], capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"softgrip: cannot read {cloud}: not a regular file\n"
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
-"""Property: whatever argv, run config and cloud bytes it is given, the CLI
-returns one of its documented exit codes and never raises.
+"""Properties of the CLI: whatever argv, run config and cloud bytes it is
+given, it returns one of its documented exit codes and never raises; and
+``plan`` grasps an object from the approach ``estimate`` decides for it.
 
 argv is drawn in the ``--flag=value`` form with values argparse accepts, so
 a drawn command always reaches the command code; argparse's own rejections
@@ -19,7 +20,10 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softgrip import Box, ObjectEstimate, decide_approach, default_geometry
 from softgrip.cli import CONFIG_ENV_VAR, main
+from softgrip.inputs import from_dict
+from softgrip.perception import APPROACH_UNGRASPABLE
 
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
@@ -137,3 +141,37 @@ def test_main_returns_a_documented_exit_code(args, config, cloud, pose, out_is_a
             prefix = ["--config", str(work / "config.json")]
         rc = main(prefix + [a.replace(WORK, tmp) for a in args] + ["--out", str(out)])
     assert rc in EXIT_CODES
+
+
+# Mostly widths the capacity table covers (20-140 mm); the open aperture is ~103 mm.
+width = st.one_of(st.floats(0.02, 0.12), st.sampled_from([0.0, 0.01, 0.103]))
+coordinate = st.floats(-0.5, 0.5)
+xyz = st.tuples(coordinate, coordinate, coordinate)
+
+
+@st.composite
+def workspace(draw):
+    lo = draw(xyz)
+    return {"min_corner": list(lo),
+            "max_corner": [v + draw(st.floats(1e-3, 1.0)) for v in lo]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(width, width, st.floats(0.0, 0.2)), xyz, st.sampled_from("XYZ"), workspace())
+def test_plan_follows_the_approach_decision(extents, centroid, dominant, limits):
+    raw = {"centroid_m": list(centroid), "extents_m": list(extents), "point_count": 100,
+           "dominant_axis": dominant}
+    est = ObjectEstimate.from_dict(raw)
+    decision = decide_approach(est, default_geometry(), from_dict(Box, limits, "workspace"))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop(CONFIG_ENV_VAR, None)
+        work = Path(tmp)
+        (work / "config.json").write_text(json.dumps({"workspace_limits": limits}))
+        (work / "estimate.json").write_text(json.dumps({"estimate": raw}))
+        rc = main(["--config", str(work / "config.json"), "plan",
+                   "--estimate", str(work / "estimate.json"), "--mass", "0.1",
+                   "--out", str(work / "out")])
+        assert (rc == 5) == (decision.approach == APPROACH_UNGRASPABLE), (rc, decision)
+        if rc == 0:
+            plan = json.loads((work / "out" / "plan.json").read_text())["plan"]
+            assert plan["approach"] == decision.approach

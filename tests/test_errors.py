@@ -18,7 +18,6 @@ EXPECTED_EXIT_CODES = {
     errors.InvalidRangeError: 3,
     errors.EmptyCloudError: 4,
     errors.ObjectTooLargeError: 5,
-    errors.ObjectTooSmallError: 5,
     errors.SurfaceConflictError: 5,
     errors.NoContactError: 6,
 }

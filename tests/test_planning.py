@@ -8,7 +8,6 @@ from softgrip import (
     MissingCapacityDataError,
     ObjectEstimate,
     ObjectTooLargeError,
-    ObjectTooSmallError,
     SurfaceConflictError,
     aperture,
     aperture_window,
@@ -103,11 +102,6 @@ def test_decision_and_planner_share_one_aperture_test(geom):
             assert refused, w
         else:
             assert not refused, w
-
-
-def test_envelope_rejects_small_object(geom):
-    with pytest.raises(ObjectTooSmallError):
-        plan_envelope_grasp(geom, estimate_for(0.05, 0.12))
 
 
 def test_envelope_squeeze_clamps_to_closed_with_warning(geom):
