@@ -385,6 +385,9 @@ def main(argv=None) -> int:
         except SoftgripError as exc:
             print(f"softgrip: {exc}", file=sys.stderr)
             return exc.exit_code
+        except KeyboardInterrupt:
+            print("softgrip: interrupted", file=sys.stderr)
+            return 130
     return 0
 
 

@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import GripperGeometry, aperture_window
-from .inputs import from_dict
+from .inputs import from_dict, read_bytes
 
 __all__ = [
     "ApproachDecision", "Box", "ObjectEstimate", "PointCloud", "ScenePose", "crop_cloud",
@@ -212,17 +212,12 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 
 
 def _meaningful_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped text) of each line that is
+    """Yield (1-based line number, line as given) of each line that is
     neither blank nor a '#' comment."""
-    for line_no, raw in enumerate(lines, 1):
-        text = raw.strip()
+    for line_no, line in enumerate(lines, 1):
+        text = line.lstrip()
         if text and not text.startswith("#"):
-            yield line_no, text
-
-
-def _is_pcd(first: str) -> bool:
-    """Whether the first meaningful line opens a PCD header."""
-    return first.split()[0].upper() == "VERSION"
+            yield line_no, line
 
 
 def _pcd_header(lines: Iterator[tuple[int, str]]) -> tuple[int, int] | None:
@@ -271,96 +266,74 @@ def _pcd_header(lines: Iterator[tuple[int, str]]) -> tuple[int, int] | None:
         raise ParseError("malformed POINTS value", line=header_lines["POINTS"]) from None
 
 
-def _parse_lines(text: str) -> np.ndarray:
-    """The per-line parser: every record through float(), raising ParseError
-    with the line and column of the first malformed one."""
-    lines = _meaningful_lines(text.splitlines())
-    first = next(lines, None)
-    if first is None:
-        return np.empty((0, 3))
-    lines = itertools.chain([first], lines)
-    declared = _pcd_header(lines) if _is_pcd(first[1]) else None
-    records = [_parse_xyz_record(record.split(), n) for n, record in lines]
-    points = np.array(records, dtype=np.float64).reshape(len(records), 3)
-    if declared is not None and declared[0] != len(points):
-        raise ParseError(
-            f"POINTS declares {declared[0]} records but data has {len(points)}",
-            line=declared[1],
-        )
-    return points
+def _read_header(lines: Iterator[tuple[int, str]]) -> tuple[tuple[int, int] | None,
+                                                            tuple[int, str] | None]:
+    """Read a view's meaningful lines through its first record.
 
-
-def _skip_filler(stream: IO[bytes]) -> str:
-    """Read past blank and '#' lines; return the next line stripped ("" at
-    the end), leaving the stream at its start."""
-    while line := stream.readline():
-        text = line.strip()
-        if text and not text.startswith(b"#"):
-            stream.seek(-len(line), io.SEEK_CUR)
-            return text.decode()
-    return ""
-
-
-def _streamed(raw: bytes) -> np.ndarray | None:
-    """The points of a plain view, or None to leave it to _parse_lines.
-
-    Only the leading comments, or the PCD header through DATA, are read line
-    by line; np.loadtxt converts the rest straight from the bytes.  The
-    result is kept only if the input holds nothing but _PLAIN_BYTES and
-    "\r\n", every record is three finite numbers and a PCD count matches,
-    so it is the per-line parser's result for the same input, bit for bit.
+    Returns the POINTS count as _pcd_header gives it (None for plain XYZ),
+    and the first record as (line number, line), or None when there is none.
     """
-    rest = raw.translate(None, _PLAIN_BYTES)
-    if not rest.count(b"\r") == len(rest) == raw.count(b"\r\n"):
-        return None
-    stream = io.BytesIO(raw)
-    first = _skip_filler(stream)
-    declared = None
-    if first and _is_pcd(first):
-        lines = map(bytes.decode, iter(stream.readline, b""))
-        try:
-            declared = _pcd_header(_meaningful_lines(lines))
-        except ParseError:
-            return None
-        first = _skip_filler(stream)
-    if not first:
-        points = np.empty((0, 3))
-    else:
-        try:
-            points = np.loadtxt(stream, comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            return None
-        if points.shape[1] != 3 or not np.isfinite(points).all():
-            return None
-    if declared is not None and declared[0] != len(points):
-        return None
-    return points
+    first = next(lines, None)
+    if first is None or first[1].split()[0].upper() != "VERSION":
+        return None, first
+    declared = _pcd_header(itertools.chain([first], lines))
+    return declared, next(lines, None)
 
 
 def parse_cloud(data: bytes | str) -> PointCloud:
     """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame cloud.
 
-    A plain view is converted by np.loadtxt straight from its bytes (see
-    _streamed); any other input, and any input that raises, goes through
-    the per-line parser.  Raises ParseError with the line/column of the
-    first malformed record.
+    The leading blank and '#' lines and a PCD header through DATA are read
+    once, line by line.  A plain view, nothing but _PLAIN_BYTES and "\r\n",
+    is read from its bytes: np.loadtxt converts them from the first record
+    on, and its result is kept only if every record is three finite numbers.
+    Otherwise every record goes through float() line by line, for a plain
+    view over the same bytes from that record on, for any other view over
+    its decoded text.  Both paths give the same doubles.  Raises ParseError
+    with the line/column of the first malformed record.
     """
     # Any str encodes; one that is not plain ASCII then fails the guard.
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    points = _streamed(raw)
-    if points is None:
+    rest = raw.translate(None, _PLAIN_BYTES)
+    plain = rest.count(b"\r") == len(rest) == raw.count(b"\r\n")
+    if plain:
+        stream = io.BytesIO(raw)
+        lines = map(bytes.decode, stream)
+    else:
         if isinstance(data, bytes):
             try:
                 data = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-        points = _parse_lines(data)
+        lines = data.splitlines()
+    records = _meaningful_lines(lines)
+    declared, first = _read_header(records)
+    points = None
+    if first is None:
+        points = np.empty((0, 3))
+    elif plain:
+        body = stream.tell()  # just past the first record
+        stream.seek(body - len(first[1]))
+        try:
+            points = np.loadtxt(stream, comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        if points is None or points.shape[1] != 3 or not np.isfinite(points).all():
+            points = None
+            stream.seek(body)  # records resumes here, counting lines on
+    if points is None:
+        rows = [_parse_xyz_record(line.split(), n) for n, line in itertools.chain([first], records)]
+        points = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    if declared is not None and declared[0] != len(points):
+        raise ParseError(
+            f"POINTS declares {declared[0]} records but data has {len(points)}",
+            line=declared[1],
+        )
     return PointCloud(points)
 
 
 def load_cloud(path) -> PointCloud:
-    with open(path, "rb") as fh:
-        return parse_cloud(fh.read())
+    return parse_cloud(read_bytes(path))
 
 
 def write_cloud_xyz(cloud: PointCloud, stream: IO[str]) -> None:

@@ -23,6 +23,7 @@ from softgrip import (
     uniform_box_noise,
     write_cloud_xyz,
 )
+from softgrip import geometry
 from softgrip.cli import main
 from softgrip.perception import PointCloud, ScenePose
 
@@ -120,6 +121,20 @@ def test_slide_and_planner_sweeps_print_no_warning(tmp_path, capsys):
                            name="pinch.json")
     assert run_cli("plan", "--estimate", pinch, "--mass", 0.02, "--out", tmp_path / "p") == 0
     assert capsys.readouterr().err == ""
+
+
+def test_ctrl_c_exits_130_with_one_line_and_no_traceback(tmp_path, monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(geometry, "fk_trace", interrupted)
+    try:
+        rc = run_cli("fk", "--theta", -1.0, "--out", tmp_path / "run")
+    except KeyboardInterrupt:  # left to propagate, it would end the pytest session
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert rc == 130
+    assert capsys.readouterr().err == "softgrip: interrupted\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_fk_conflicting_arguments_exit_2(tmp_path):

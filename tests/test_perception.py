@@ -6,6 +6,7 @@ import pytest
 
 from softgrip import (
     Box,
+    ConfigError,
     EmptyCloudError,
     FrameMismatchError,
     InvalidPoseError,
@@ -131,6 +132,13 @@ def _fail(*args):
     raise AssertionError("per-line parser reached")
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap perception.<name> so that each call is appended to the returned list."""
+    calls, original = [], getattr(perception, name)
+    monkeypatch.setattr(perception, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 @pytest.mark.parametrize("data", [
     b"# view\n0.1 0.2 0.3\n\n-1 2e-3 4\n",
     b"# view\r\n0.1 0.2 0.3\r\n\r\n-1 2e-3 4\r\n",
@@ -141,7 +149,7 @@ def _fail(*args):
     "# view\r\n0.1 0.2 0.3\r\n-1 2e-3 4\r\n",
 ])
 def test_clean_views_never_reach_the_per_line_parser(monkeypatch, data):
-    monkeypatch.setattr(perception, "_parse_lines", _fail)
+    monkeypatch.setattr(perception, "_parse_xyz_record", _fail)
     assert parse_cloud(data).points.tolist() == CLEAN_POINTS
 
 
@@ -152,11 +160,30 @@ def test_clean_views_never_reach_the_per_line_parser(monkeypatch, data):
     CLEAN_PCD + b"# trailing\n",
 ])
 def test_other_views_go_to_the_per_line_parser_and_give_the_same_points(monkeypatch, data):
-    calls = []
-    per_line = perception._parse_lines
-    monkeypatch.setattr(perception, "_parse_lines", lambda text: calls.append(text) or per_line(text))
+    calls = _count_calls(monkeypatch, "_parse_xyz_record")
     assert parse_cloud(data).points.tolist() == CLEAN_POINTS
+    assert len(calls) == len(CLEAN_POINTS)
+
+
+@pytest.mark.parametrize("data, points", [
+    (CLEAN_PCD.replace(b"\n-1", b"\n# between records\n-1"), CLEAN_POINTS),
+    (CLEAN_PCD.replace(b"x y z", b"x y"), None),
+])
+def test_the_pcd_header_is_read_once(monkeypatch, data, points):
+    # A plain view that numpy refuses, and one whose header is malformed.
+    calls = _count_calls(monkeypatch, "_pcd_header")
+    if points is None:
+        with pytest.raises(ParseError, match="unsupported fields") as err:
+            parse_cloud(data)
+        assert err.value.line == 2
+    else:
+        assert parse_cloud(data).points.tolist() == points
     assert len(calls) == 1
+
+
+def test_load_cloud_refuses_what_is_not_a_regular_file():
+    with pytest.raises(ConfigError, match="not a regular file"):
+        perception.load_cloud("/dev/null")
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +208,24 @@ def test_parsing_a_large_view_allocates_at_most_half_again_its_size(large_views,
         tracemalloc.stop()
     assert cloud.points.tobytes() == points.tobytes()
     assert peak <= 1.5 * len(data)
+
+
+def test_a_plain_view_that_falls_back_reads_its_bytes_without_a_decoded_copy():
+    # The per-line records (~2.5 times the text) are the peak, not a str of
+    # the view and one string per line besides (~5.4 times).
+    lines = [f"{x!r} {y!r} {z!r}\n"
+             for x, y, z in np.random.default_rng(11).normal(size=(50_000, 3)).tolist()]
+    lines[-3] = "0.5 oops 0.5\n"
+    data = ("# seeded view\n" + "".join(lines)).encode()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="malformed number 'oops'") as err:
+            parse_cloud(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (err.value.line, err.value.column) == (49_999, 2)
+    assert peak <= 3.5 * len(data)
 
 
 # ---------------------------------------------------------------------------

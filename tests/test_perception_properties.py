@@ -4,7 +4,9 @@ parse_cloud converts each view's records in one vectorised call and falls
 back to the per-line parser on any doubt.  The reference here is that
 per-line parser alone, reached by making the vectorised call fail: on
 every drawn file both must return the same array bit for bit, or raise the
-same ParseError at the same line and column.
+same ParseError at the same line and column.  A plain view's per-line
+parser reads lines from its bytes; the second reference is the same file
+with a trailing non-ASCII comment, whose lines come from its decoded text.
 """
 
 from unittest import mock
@@ -113,6 +115,20 @@ def per_line_outcome(data):
 @given(cloud_files())
 def test_fast_parse_matches_per_line_parser(data):
     assert _outcome(data) == per_line_outcome(data)
+
+
+def with_non_ascii_comment(data):
+    """data and a last line '# café', which keeps it off the plain-bytes path."""
+    line = "\n# caf\u00e9\n"
+    return data + (line.encode("utf-8") if isinstance(data, bytes) else line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud_files())
+def test_reading_lines_from_bytes_matches_reading_the_decoded_text(data):
+    decoded = _outcome(with_non_ascii_comment(data))
+    assert _outcome(data) == decoded
+    assert per_line_outcome(data) == decoded
 
 
 @pytest.mark.parametrize("text", HARD_DECIMALS)

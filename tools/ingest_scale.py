@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fresh-process `estimate` on 10k, 200k and 1M-point scenes, 1 and 3 views each.
+"""Fresh-process `estimate` on 10k, 200k and 1M-point scenes, 1 and 3 views each,
+and on each size as one view with a bad record near its end.
 
     python3 tools/ingest_scale.py                    # working tree against HEAD
     python3 tools/ingest_scale.py --base HEAD~1 --repeats 5
@@ -7,7 +8,10 @@
 Each scene is a seeded softgrip.synthetic cylinder with uniform outliers
 beside it (one point in ten), N points in total, written as shortest
 round-trip XYZ text: as one view, or split in three views, each in its own
-camera frame.  Every case runs ``softgrip estimate --roi`` (the box keeps
+camera frame.  The malformed case is the one-view scene with its
+last-but-two record replaced by one that does not parse, so the view is
+converted by numpy, refused, and read again by the per-line parser up to
+that record.  Every case runs ``softgrip estimate --roi`` (the box keeps
 the cylinder) in a fresh interpreter with ``src`` on PYTHONPATH, for the
 working tree and for --base (checked out with ``git worktree`` under
 .bench_work/), the two sides alternated and their order swapped every
@@ -16,7 +20,8 @@ started before any scene is generated, because Linux carries the
 spawning process's peak RSS into a child's ``ru_maxrss`` at exec.
 Printed per case and side: the median wall time of the child and the
 median of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Both sides must
-write the same estimate.json.  The worktree and the scenes are removed at
+write the same estimate.json, or for the malformed case exit 2 with the
+same stderr.  The worktree and the scenes are removed at
 the end.
 """
 
@@ -39,6 +44,7 @@ from softgrip import make_cylinder, uniform_box_noise  # noqa: E402
 
 SIZES = (10_000, 200_000, 1_000_000)
 VIEWS = (1, 3)
+BAD_RECORD = "0.0 0.0x1 0.0\n"  # written in place of a malformed view's last-but-two record
 ROI = (-0.06, -0.06, -0.01, 0.06, 0.06, 0.13)
 # The first argument is the src directory to import softgrip from.
 CLI_CODE = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
@@ -55,8 +61,11 @@ def _pose(k: int) -> np.ndarray:
     return pose
 
 
-def write_scene(folder: Path, n_points: int, n_views: int, seed: int) -> Path:
-    """A scene of n_points in total over n_views XYZ files; returns its manifest."""
+def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
+                malformed: bool = False) -> Path:
+    """A scene of n_points in total over n_views XYZ files, the last one
+    ending in BAD_RECORD and two good records if ``malformed``; returns its
+    manifest."""
     n_noise = n_points // 10
     cylinder = make_cylinder(n_points=n_points - n_noise, seed=seed, center=(0.0, 0.0, 0.06))
     noise = uniform_box_noise(n_noise, side_m=0.1, seed=seed + 1, center=(0.3, 0.0, 0.06))
@@ -68,24 +77,29 @@ def write_scene(folder: Path, n_points: int, n_views: int, seed: int) -> Path:
         camera = (part - pose[:3, 3]) @ pose[:3, :3]  # global to camera: R^T (p - t)
         with open(folder / f"view_{k}.xyz", "w", encoding="utf-8") as fh:
             fh.write(f"# view {k} of {n_views}, seed {seed}\n")
-            fh.writelines(f"{x!r} {y!r} {z!r}\n" for x, y, z in camera.tolist())
+            rows = [f"{x!r} {y!r} {z!r}\n" for x, y, z in camera.tolist()]
+            if malformed and k == n_views - 1:
+                rows[-3] = BAD_RECORD
+            fh.writelines(rows)
         views.append({"cloud": f"view_{k}.xyz", "transform": pose.ravel().tolist()})
     manifest = folder / "manifest.json"
     manifest.write_text(json.dumps({"views": views}), encoding="utf-8")
     return manifest
 
 
-def run_estimate(launcher: Launcher, tree: Path, manifest: Path,
-                 out: Path) -> tuple[float, float, bytes]:
-    """Wall seconds, peak RSS (MB) and estimate.json of one fresh estimate process."""
+def run_estimate(launcher: Launcher, tree: Path, manifest: Path, out: Path,
+                 rc: int) -> tuple[float, float, bytes]:
+    """Wall seconds, peak RSS (MB) and output of one fresh estimate process
+    that must exit ``rc``: its estimate.json on 0, else its stderr."""
     argv = [sys.executable, "-c", CLI_CODE, str(tree / "src"), "estimate", "--manifest",
             str(manifest), "--roi=" + ",".join(map(repr, ROI)), "--out", str(out)]
     stderr = out.with_suffix(".stderr")
     reply = launcher.run(argv, manifest.parent, stderr)
-    if reply["rc"] != 0:
-        raise SystemExit(f"{tree}: estimate exited {reply['rc']} on {manifest}: "
+    if reply["rc"] != rc:
+        raise SystemExit(f"{tree}: estimate exited {reply['rc']}, not {rc}, on {manifest}: "
                          f"{stderr.read_text()[-300:]}")
-    return reply["wall"], reply["maxrss_kb"] / 1024, (out / "estimate.json").read_bytes()
+    output = out / "estimate.json" if rc == 0 else stderr
+    return reply["wall"], reply["maxrss_kb"] / 1024, output.read_bytes()
 
 
 def main(argv=None) -> int:
@@ -98,23 +112,23 @@ def main(argv=None) -> int:
     rows = []
     with Launcher() as launcher, tempfile.TemporaryDirectory(prefix="ingest_scale_") as tmp, \
             worktree(args.base, WORKTREE.with_name("ingest_base")) as base:
-        for n_points in SIZES:
-            for n_views in VIEWS:
-                case = f"{n_points // 1000}k x {n_views}"
-                manifest = write_scene(Path(tmp) / case.replace(" ", ""), n_points, n_views,
-                                       args.seed)
-                runs = {"base": [], "change": []}
-                for i in range(args.repeats):
-                    order = [("base", base), ("change", ROOT)]
-                    for name, tree in order if i % 2 == 0 else order[::-1]:
-                        runs[name].append(run_estimate(launcher, tree, manifest,
-                                                       Path(tmp) / name))
-                same = len({estimate for side in runs.values() for *_, estimate in side}) == 1
-                rows.append((case, runs, same))
-                print(f"{case}: done", file=sys.stderr)
+        cases = [(n, v, False) for n in SIZES for v in VIEWS] + [(n, 1, True) for n in SIZES]
+        for n_points, n_views, malformed in cases:
+            case = f"{n_points // 1000}k x {n_views}{', bad record' if malformed else ''}"
+            manifest = write_scene(Path(tmp) / f"{n_points}x{n_views}{'_bad' * malformed}",
+                                   n_points, n_views, args.seed, malformed)
+            runs = {"base": [], "change": []}
+            for i in range(args.repeats):
+                order = [("base", base), ("change", ROOT)]
+                for name, tree in order if i % 2 == 0 else order[::-1]:
+                    runs[name].append(run_estimate(launcher, tree, manifest,
+                                                   Path(tmp) / name, 2 if malformed else 0))
+            same = len({output for side in runs.values() for *_, output in side}) == 1
+            rows.append((case, runs, same))
+            print(f"{case}: done", file=sys.stderr)
 
     print(f"| points x views | {args.base} s | change s | {args.base} MB | change MB "
-          f"| estimate.json |")
+          f"| estimate.json or stderr |")
     print("|---|---|---|---|---|---|")
     for case, runs, same in rows:
         wall = {name: statistics.median(r[0] for r in side) for name, side in runs.items()}
