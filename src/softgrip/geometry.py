@@ -13,18 +13,18 @@ Every chain function takes a scalar or a numpy array of angles, is
 vectorized elementwise and checks no operating window, which the sliding
 regime exceeds; only check_window checks it, and only it warns.  All
 functions are safe to call concurrently.  Trajectories and traces hold
-read-only float64 columns; write_columns writes every trace.
+read-only float64 columns; write_columns writes every trace, in one
+process, with the floats of a large one formatted by orjson in C.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, fields
-from functools import cached_property
-from itertools import chain, repeat
+from functools import cached_property, partial
+from itertools import groupby
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
@@ -62,10 +62,10 @@ MAX_LENGTH_MM = math.sqrt(sys.float_info.max) / 4
 # Rows write_columns formats and writes per stream.write call.
 CSV_CHUNK_ROWS = 4096
 
-# Fewest cells per share for which write_columns forks a child.  fork, _exit
-# and waitpid take ~4.4 ms in a 36 MB process holding a 60k-row trace (median
-# of 40, 2-vCPU VM); float.__repr__ takes ~1 us per value.
-PARALLEL_MIN_CELLS = 50_000
+# Fewest cells of a table for which write_columns formats floats with orjson.
+# Importing orjson after numpy takes ~8 ms, and it saves ~0.5 us per cell
+# against float.__repr__ (2-vCPU VM): it repays its import from ~16,000 cells.
+ORJSON_MIN_CELLS = 20_000
 
 FloatOrArray = float | np.ndarray  # chain inputs and outputs, elementwise
 
@@ -417,111 +417,62 @@ def fk_trace(geom: GripperGeometry, trajectory: MotorTrajectory) -> Trace:
     return Trace(forward_kinematics(geom, trajectory.samples))
 
 
-def _texts(column: np.ndarray) -> list[str]:
-    """The cells of a chunk column as text, as write_columns writes them."""
-    if column.dtype != np.float64:
-        return column.tolist()
-    bits = column.view(np.int64)
-    new_run = bits[1:] != bits[:-1]
-    if new_run.all():
-        return list(map(float.__repr__, column.tolist()))
-    starts = np.flatnonzero(np.concatenate(([True], new_run)))
-    texts = map(float.__repr__, column[starts].tolist())
-    lengths = np.diff(starts, append=len(column)).tolist()
-    return list(chain.from_iterable(map(repeat, texts, lengths)))
+def _is_positional(block: np.ndarray) -> bool:
+    """True when every value of block is zero or of a magnitude in [1e-4, 1e16):
+    the values that float.__repr__ and orjson both write in positional
+    notation, and so write alike.  False for NaN and +-inf."""
+    magnitude = np.abs(block)
+    return bool(np.all((magnitude >= 1e-4) & (magnitude < 1e16) | (magnitude == 0)))
 
 
-def format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
-    """The CSV text of one chunk of rows: the one formatter of every CSV row."""
-    return "".join(map(row.format, *map(_texts, columns)))
+def _cell_texts(columns: Sequence[np.ndarray], dumps) -> list[list[str]]:
+    """The text of one chunk of rows, as lists of row texts of one or more cells.
 
-
-def _write_rows(row: str, columns, start: int, stop: int, stream: IO[str]) -> None:
-    """Write rows [start, stop), CSV_CHUNK_ROWS rows per stream.write call."""
-    for lo in range(start, stop, CSV_CHUNK_ROWS):
-        stream.write(format_rows(row, [c[lo:min(lo + CSV_CHUNK_ROWS, stop)] for c in columns]))
-
-
-def _write_shares(row: str, columns: Sequence[np.ndarray], shares: int, stream: IO[str]):
-    """Write the rows as shares of equal row counts, each after the first
-    formatted by a forked child into an unlinked temporary file and appended
-    in order.
-
-    A child makes no BLAS call, only Python formatting and numpy slicing and
-    comparisons, so the idle threads of OpenBLAS's pool are no fork hazard.
-    Python 3.12 and later warn of fork in a process with threads: a
-    DeprecationWarning, which is ignored by default outside __main__.
+    A run of adjacent float64 columns is one list from one ``dumps`` call
+    (orjson.dumps of the run's 2-D array) when ``dumps`` is given and the run
+    is positional; otherwise each of its columns is a list of float.__repr__
+    texts.  Any other column is a list of its strings.
     """
-    import signal  # here, so that a table too small to split imports nothing more
-    import tempfile
-
-    n = len(columns[0])
-    bounds = [n * i // shares for i in range(shares + 1)]
-    later = list(zip(bounds[1:], bounds[2:]))
-    pids, files = [None] * len(later), [None] * len(later)
-    try:
-        for i, (start, stop) in enumerate(later):
-            try:
-                files[i] = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-                pids[i] = os.fork()
-            except OSError:
-                continue
-            if pids[i] == 0:
-                # The child leaves only through os._exit: it never returns into
-                # the caller, runs this finally or flushes the caller's stream.
-                try:
-                    _write_rows(row, columns, start, stop, files[i])
-                    files[i].flush()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-        _write_rows(row, columns, 0, bounds[1], stream)
-        for i, (start, stop) in enumerate(later):
-            if pids[i] is not None:
-                status = os.waitpid(pids[i], 0)[1]
-                pids[i] = None
-                if status == 0:
-                    files[i].seek(0)
-                    while block := files[i].read(1 << 16):
-                        stream.write(block)
-                    continue
-            _write_rows(row, columns, start, stop, stream)
-    finally:
-        for pid in filter(None, pids):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for file in filter(None, files):
-            file.close()
+    texts = []
+    for is_float, group in groupby(columns, key=lambda c: c.dtype == np.float64):
+        group = list(group)
+        if not is_float:
+            texts += [c.tolist() for c in group]
+            continue
+        block = np.column_stack(group)
+        if dumps and _is_positional(block):
+            texts.append(dumps(block).decode()[2:-2].split("],["))
+        else:
+            texts += [list(map(float.__repr__, c.tolist())) for c in group]
+    return texts
 
 
 def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -> None:
     """Write equal-length columns as CSV rows under ``header``.
 
-    A float64 column is written with float.__repr__ (the shortest text that
-    reads back to the same value), called once per run of bit-identical
-    consecutive values: runs are found on the int64 view, so 0.0 and -0.0
-    stay apart.  Any other column holds strings, written as they are.  Rows
-    go to ``stream`` CSV_CHUNK_ROWS at a time, so the text of the whole
-    table is never held at once.
+    A float64 value is written as float.__repr__ writes it: the shortest
+    text that reads back to the same value.  Any other column holds
+    strings, written as they are.  Rows go to ``stream`` CSV_CHUNK_ROWS at a
+    time, so the text of the whole table is never held at once.
 
-    A table of at least PARALLEL_MIN_CELLS cells per share is split into
-    one share of equal row count per CPU in os.sched_getaffinity
-    (one share where the platform lacks it).  This process writes the first
-    share; each later one is formatted by a child forked from it, from the
-    same columns with the same format_rows, and appended in order.  A share
-    whose child cannot be forked or fails is formatted here instead, so the
-    text is the same either way.
+    A table of at least ORJSON_MIN_CELLS cells formats each chunk's runs of
+    adjacent float64 columns with one orjson.dumps call per run, whose
+    shortest round-trip digits are those of float.__repr__.  Only a run
+    whose every value is zero or of a magnitude in [1e-4, 1e16) takes that
+    path, where both write positional notation; any other run (NaN, +-inf,
+    a tiny or huge value) is written with float.__repr__, so the bytes are
+    the same either way.
     """
-    row = ",".join(["{}"] * len(columns)) + "\n"
+    dumps = None
+    if len(columns[0]) * len(columns) >= ORJSON_MIN_CELLS:
+        import orjson  # here, so that a small table never pays its ~8 ms import
+
+        dumps = partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
     stream.write(header + "\n")
-    shares = len(columns[0]) * len(columns) // PARALLEL_MIN_CELLS
-    if shares > 1:
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [None]
-        shares = min(shares, len(cpus))
-    if shares > 1:
-        _write_shares(row, columns, shares, stream)
-    else:
-        _write_rows(row, columns, 0, len(columns[0]), stream)
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        texts = _cell_texts([c[lo:lo + CSV_CHUNK_ROWS] for c in columns], dumps)
+        row = ",".join(["{}"] * len(texts)) + "\n"
+        stream.write("".join(map(row.format, *texts)))
 
 
 FK_TRACE_HEADER = "theta,y_b,delta,b,alpha,x_left,x_right,y_tip"

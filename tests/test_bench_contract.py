@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import softgrip
+from softgrip import geometry
 from softgrip.geometry import fk_trace, sample_trajectory, write_fk_trace_csv
 from softgrip.simulate import SlideConfig, simulate_slide, write_slide_trace_csv
 
@@ -92,24 +93,18 @@ def test_driven_sweep_runs(spans):
     assert spans.drive("4242", "-0.8", "-1.4", "0.015") == 0
 
 
-def test_written_bytes_are_the_file_size_on_the_worker_path(spans, geom, tmp_path,
+def test_written_bytes_are_the_file_size_on_the_orjson_path(spans, geom, tmp_path,
                                                             monkeypatch):
-    # A 1e-5 rad trace is split across a forked child on two CPUs; the
-    # parent appends its text, so tell() still ends at the file size.
-    forked, fork = [], os.fork
+    # A 1e-5 rad trace is formatted in chunks by orjson, in this process
+    # alone, so tell() ends at the file size.
+    def refuse():
+        raise AssertionError("the writer forked")
 
-    def spy():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(os, "fork", refuse)
     trace = fk_trace(geom, sample_trajectory(geom, -0.8, -1.4, 1e-5))
+    assert len(trace) * len(trace.columns) >= geometry.ORJSON_MIN_CELLS
     path = tmp_path / "fk.csv"
     with path.open("w", encoding="utf-8") as stream:
         write_fk_trace_csv(trace, stream)
         written = spans._written((trace, stream), None)
-    assert len(forked) == 1
     assert written == {"bytes": path.stat().st_size}
