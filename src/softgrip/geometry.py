@@ -428,10 +428,10 @@ def _is_positional(block: np.ndarray) -> bool:
 def _cell_texts(columns: Sequence[np.ndarray], dumps) -> list[list[str]]:
     """The text of one chunk of rows, as lists of row texts of one or more cells.
 
-    A run of adjacent float64 columns is one list from one ``dumps`` call
-    (orjson.dumps of the run's 2-D array) when ``dumps`` is given and the run
-    is positional; otherwise each of its columns is a list of float.__repr__
-    texts.  Any other column is a list of its strings.
+    A positional run of adjacent float64 columns is one list from one
+    ``dumps`` call (orjson.dumps of the run's 2-D array) if ``dumps`` is
+    given, of one text of all rows if the run is the whole table; else each
+    of its columns is a list of float.__repr__ texts, any other column of strings.
     """
     texts = []
     for is_float, group in groupby(columns, key=lambda c: c.dtype == np.float64):
@@ -441,7 +441,8 @@ def _cell_texts(columns: Sequence[np.ndarray], dumps) -> list[list[str]]:
             continue
         block = np.column_stack(group)
         if dumps and _is_positional(block):
-            texts.append(dumps(block).decode()[2:-2].split("],["))
+            t = dumps(block)[2:-2].decode()
+            texts.append(t.split("],[") if len(group) < len(columns) else [t.replace("],[", "\n")])
         else:
             texts += [list(map(float.__repr__, c.tolist())) for c in group]
     return texts

@@ -3,8 +3,8 @@
 Clouds are meters; the gripper geometry is millimeters.  The one unit
 conversion is object_diameter_mm, and exceeds_aperture, which decide_approach
 and both planners call, is the one test of an object against the open
-fingers.  Parsing covers plain ASCII XYZ (one "x y z" record per line, '#'
-comments) and the ASCII PCD v0.7 subset with FIELDS x y z.
+fingers.  Parsing covers plain ASCII XYZ ("x y z" per line, '#' comments) and
+ASCII PCD v0.7 with FIELDS x y z, converted by orjson, np.loadtxt or float().
 """
 
 from __future__ import annotations
@@ -211,10 +211,10 @@ _PCD_HEADER_KEYS = {
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 
 
-def _meaningful_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line as given) of each line that is
-    neither blank nor a '#' comment."""
-    for line_no, line in enumerate(lines, 1):
+def _meaningful_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
+    """Yield (line number, counted from ``start``, line as given) of each line
+    that is neither blank nor a '#' comment."""
+    for line_no, line in enumerate(lines, start):
         text = line.lstrip()
         if text and not text.startswith("#"):
             yield line_no, line
@@ -280,22 +280,57 @@ def _read_header(lines: Iterator[tuple[int, str]]) -> tuple[tuple[int, int] | No
     return declared, next(lines, None)
 
 
+_JSON_CHUNK_BYTES = 1 << 17  # bounds the orjson tier's transient copies (~5 times this)
+
+
+def _json_rows(raw: bytes, pos: int, size: int) -> tuple[list[np.ndarray], int]:
+    """The rows (at most ``size``) orjson converts from raw's byte offset pos, one
+    call per ~128 KiB chunk of whole lines, and the offset of the first chunk
+    refused (len(raw) if none).  A chunk is taken only where that gives float()'s
+    doubles: bytes "0-9.eE+-", one space between three fields, "\n" between lines,
+    a JSON array (no empty field, "+1", ".5", "1.", "01" or overflow), no "-0"
+    token (JSON's int 0) if a value is 0.  A blank chunk holds no rows."""
+    import orjson  # here, so that a command that reads no cloud never loads it
+
+    out, n = None, 0
+    while pos < len(raw):
+        end = raw.find(b"\n", pos + _JSON_CHUNK_BYTES) + 1 or len(raw)
+        body = raw[pos:end].removesuffix(b"\n")
+        seps, block = body.translate(None, b"0123456789.eE+-"), None
+        if seps == b"  \n" * (len(seps) // 3) + b"  ":
+            text = body.translate(bytes.maketrans(b" \n", b",,"))
+            try:
+                block = np.array(orjson.loads(b"[" + text + b"]"), dtype=np.float64).reshape(-1, 3)
+            except (ValueError, TypeError, OverflowError):
+                pass
+        if block is not None and np.isfinite(block).all() and (
+                block.all() or b",-0," not in b"," + text + b","):
+            out = np.empty((size, 3)) if out is None else out  # one array, filled in place
+            out[n:n + len(block)] = block
+            n += len(block)
+        elif not raw[pos:end].isspace():  # np.loadtxt would warn on a blank tail
+            break
+        pos = end
+    return [out[:n]] if n else [], pos
+
+
 def parse_cloud(data: bytes | str) -> PointCloud:
     """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame cloud.
 
     The leading blank and '#' lines and a PCD header through DATA are read
     once, line by line.  A plain view, nothing but _PLAIN_BYTES and "\r\n",
-    is read from its bytes: np.loadtxt converts them from the first record
-    on, and its result is kept only if every record is three finite numbers.
-    Otherwise every record goes through float() line by line, for a plain
-    view over the same bytes from that record on, for any other view over
-    its decoded text.  Both paths give the same doubles.  Raises ParseError
-    with the line/column of the first malformed record.
+    is read from its bytes from the first record on: _json_rows converts
+    chunks of single-space records with orjson, np.loadtxt the rest from the
+    first chunk refused (kept if every record is three finite numbers), and
+    else float() line by line.  Any other view goes through float() line by
+    line over its decoded text.  All give the same doubles.  Raises
+    ParseError with the line/column of the first malformed record.
     """
     # Any str encodes; one that is not plain ASCII then fails the guard.
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    rest = raw.translate(None, _PLAIN_BYTES)
-    plain = rest.count(b"\r") == len(rest) == raw.count(b"\r\n")
+    rest = raw.translate(None, _PLAIN_BYTES.replace(b"\n", b""))  # keeps "\n", to count it
+    newlines = rest.count(b"\n")
+    plain = rest.count(b"\r") == len(rest) - newlines == raw.count(b"\r\n")
     if plain:
         stream = io.BytesIO(raw)
         lines = map(bytes.decode, stream)
@@ -308,22 +343,26 @@ def parse_cloud(data: bytes | str) -> PointCloud:
         lines = data.splitlines()
     records = _meaningful_lines(lines)
     declared, first = _read_header(records)
-    points = None
-    if first is None:
-        points = np.empty((0, 3))
-    elif plain:
-        body = stream.tell()  # just past the first record
-        stream.seek(body - len(first[1]))
-        try:
-            points = np.loadtxt(stream, comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            pass
-        if points is None or points.shape[1] != 3 or not np.isfinite(points).all():
-            points = None
-            stream.seek(body)  # records resumes here, counting lines on
-    if points is None:
-        rows = [_parse_xyz_record(line.split(), n) for n, line in itertools.chain([first], records)]
-        points = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    blocks, head = [], [first] if first and not plain else []
+    if plain and first:
+        start = stream.tell() - len(first[1])  # the first record's byte offset
+        blocks, pos = _json_rows(raw, start, newlines - first[0] + 2)
+        stream.seek(pos)  # records reads on from here, and finds nothing left once converted
+        if pos < len(raw):
+            try:
+                block = np.loadtxt(stream, comments=None, dtype=np.float64, ndmin=2)
+            except ValueError:
+                block = None
+            if block is not None and block.shape[1] == 3 and np.isfinite(block).all():
+                blocks.append(block)
+            else:  # the per-line loop resumes at pos, counting lines on from the first record
+                stream.seek(pos)
+                lines = map(bytes.decode, stream)
+                records = _meaningful_lines(lines, first[0] + raw.count(b"\n", start, pos))
+    rows = [_parse_xyz_record(line.split(), n) for n, line in itertools.chain(head, records)]
+    if rows or not blocks:
+        blocks.append(np.array(rows, dtype=np.float64).reshape(len(rows), 3))
+    points = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     if declared is not None and declared[0] != len(points):
         raise ParseError(
             f"POINTS declares {declared[0]} records but data has {len(points)}",

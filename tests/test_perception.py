@@ -210,13 +210,20 @@ def test_parsing_a_large_view_allocates_at_most_half_again_its_size(large_views,
     assert peak <= 1.5 * len(data)
 
 
-def test_a_plain_view_that_falls_back_reads_its_bytes_without_a_decoded_copy():
-    # The per-line records (~2.5 times the text) are the peak, not a str of
-    # the view and one string per line besides (~5.4 times).
+@pytest.fixture(scope="module")
+def bad_view():
+    """A seeded 50k-point XYZ view, as bytes, whose last-but-two record is malformed."""
     lines = [f"{x!r} {y!r} {z!r}\n"
              for x, y, z in np.random.default_rng(11).normal(size=(50_000, 3)).tolist()]
     lines[-3] = "0.5 oops 0.5\n"
-    data = ("# seeded view\n" + "".join(lines)).encode()
+    return ("# seeded view\n" + "".join(lines)).encode()
+
+
+def test_a_plain_view_that_falls_back_reads_its_bytes_without_a_decoded_copy(bad_view):
+    # The per-line records (~2.5 times the text when every record went
+    # through them) are the peak, not a str of the view and one string per
+    # line besides (~5.4 times).
+    data = bad_view
     tracemalloc.start()
     try:
         with pytest.raises(ParseError, match="malformed number 'oops'") as err:
@@ -226,6 +233,16 @@ def test_a_plain_view_that_falls_back_reads_its_bytes_without_a_decoded_copy():
         tracemalloc.stop()
     assert (err.value.line, err.value.column) == (49_999, 2)
     assert peak <= 3.5 * len(data)
+
+
+def test_a_refused_view_is_not_converted_twice(monkeypatch, bad_view):
+    # The chunks before the bad record's are kept from the orjson tier; only
+    # the rest goes to np.loadtxt and then to the per-line parser.
+    calls = _count_calls(monkeypatch, "_parse_xyz_record")
+    with pytest.raises(ParseError, match="malformed number 'oops'") as err:
+        parse_cloud(bad_view)
+    assert (err.value.line, err.value.column) == (49_999, 2)
+    assert len(calls) < 49_998 // 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Property-based checks of the fast point-cloud ingest.
 
-parse_cloud converts each view's records in one vectorised call and falls
-back to the per-line parser on any doubt.  The reference here is that
-per-line parser alone, reached by making the vectorised call fail: on
-every drawn file both must return the same array bit for bit, or raise the
-same ParseError at the same line and column.  A plain view's per-line
+parse_cloud converts a plain view's records with orjson a chunk at a time,
+then from the first chunk it refuses with np.loadtxt, and falls back to the
+per-line parser on any doubt.  The reference here is that per-line parser
+alone, reached by making both vectorised tiers refuse: on every drawn file,
+at any chunk size, both must return the same array bit for bit, or raise
+the same ParseError at the same line and column.  A plain view's per-line
 parser reads lines from its bytes; the second reference is the same file
 with a trailing non-ASCII comment, whose lines come from its decoded text.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,8 @@ HARD_DECIMALS = [
     "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623157e308",
     "9007199254740993", "0.1000000000000000055511151231257827021181583404541015625",
     "123456789012345678901234567890e-20", "1e-400", "-1e-400", "-0", "0e0",
-    "0." + "3" * 400, "1" * 300,
+    "0." + "3" * 400, "1" * 300, "-0.0", "0", str(-(2**53 + 1)), str(2**63),
+    str(2**64), str(-(2**63) - 1), str(10**20), "9" * 400,
 ]
 
 # Tokens the per-line parser rejects, or that numpy might read differently.
@@ -106,15 +109,29 @@ def _outcome(data):
 
 
 def per_line_outcome(data):
-    """parse_cloud with the vectorised conversion failing on every call."""
-    with mock.patch.object(perception.np, "loadtxt", side_effect=ValueError("disabled")):
+    """parse_cloud with the orjson and np.loadtxt tiers refusing every chunk."""
+    with mock.patch.object(perception, "_json_rows", lambda raw, pos, size: ([], pos)), \
+            mock.patch.object(perception.np, "loadtxt", side_effect=ValueError("disabled")):
         return _outcome(data)
 
 
-@settings(max_examples=200, deadline=None)
-@given(cloud_files())
-def test_fast_parse_matches_per_line_parser(data):
-    assert _outcome(data) == per_line_outcome(data)
+# The orjson tier's chunk size as shipped (None), or of tens of bytes, a line
+# or two: then a file has chunk cuts, and chunks refused in its middle.
+chunk_sizes = st.one_of(st.none(), st.integers(1, 80))
+
+
+# "error": np.loadtxt warns when it is handed a blank tail.
+@pytest.mark.filterwarnings("error::UserWarning")
+@settings(max_examples=300, deadline=None)
+@given(cloud_files(), chunk_sizes)
+@example(b"1 2 3\n4 5 6\n7 8 oops\n1 2 3\n", 6)
+@example(b"1 2 3\n-0 0 1\n4 5 6\n", 6)
+@example(b"1 2 3\n4 5 6\n\n", 6)
+@example(b"# v\n1 2 3\n4 5 6\n 7 8 9\n1 2 3", 6)
+def test_fast_parse_matches_per_line_parser(data, chunk_bytes):
+    with mock.patch.object(perception, "_JSON_CHUNK_BYTES",
+                           chunk_bytes or perception._JSON_CHUNK_BYTES):
+        assert _outcome(data) == per_line_outcome(data)
 
 
 def with_non_ascii_comment(data):
@@ -133,8 +150,51 @@ def test_reading_lines_from_bytes_matches_reading_the_decoded_text(data):
 
 @pytest.mark.parametrize("text", HARD_DECIMALS)
 def test_fast_parse_rounds_like_float(text):
+    if not math.isfinite(float(text)):
+        with pytest.raises(ParseError, match="non-finite coordinate") as err:
+            parse_cloud(f"{text} {text} 1\n")
+        assert (err.value.line, err.value.column) == (1, 1)
+        return
     points = parse_cloud(f"{text} {text} 1\n").points
     assert points.tobytes() == np.array([[float(text), float(text), 1.0]]).tobytes()
+
+
+def _decimal_strings(rng, n):
+    """n finite decimal strings in forms JSON reads: 1-40 digits, the first
+    not 0 (or "0." before them), perhaps a point, an exponent -330..310."""
+    texts = []
+    while len(texts) < n:
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 41))))
+        form = rng.integers(0, 3)
+        if form == 0:
+            mantissa = str(rng.integers(1, 10)) + digits
+        elif form == 1:
+            mantissa = str(rng.integers(1, 10)) + "." + digits
+        else:
+            mantissa = "0." + digits
+        text = "-" * int(rng.integers(0, 2)) + mantissa + f"e{rng.integers(-330, 311)}"
+        if math.isfinite(float(text)):
+            texts.append(text)
+    return texts
+
+
+def test_orjson_tier_reads_numbers_as_float_does():
+    # Random bit patterns written with repr, and long decimal strings, as
+    # single-space records: any orjson that reads a number differently from
+    # float() must fail here, not change an estimate.json.  np.loadtxt is made
+    # to fail, so that every chunk must be taken by the orjson tier.
+    rng = np.random.default_rng(20210701)
+    values = np.frombuffer(rng.bytes(8 * 220_000), dtype=np.float64)
+    values = values[np.isfinite(values)]
+    assert len(values) >= 200_000
+    tokens = list(map(float.__repr__, values.tolist())) + _decimal_strings(rng, 40_000)
+    tokens = [tokens[i] for i in rng.permutation(len(tokens))]
+    tokens += ["1"] * (-len(tokens) % 3)
+    data = "".join(f"{a} {b} {c}\n" for a, b, c in zip(*[iter(tokens)] * 3)).encode()
+    assert len(data) > 2 * perception._JSON_CHUNK_BYTES
+    with mock.patch.object(perception.np, "loadtxt", side_effect=AssertionError("refused")):
+        points = parse_cloud(data).points
+    assert points.tobytes() == np.array(list(map(float, tokens))).reshape(-1, 3).tobytes()
 
 
 def test_clean_records_take_the_fast_path(monkeypatch):

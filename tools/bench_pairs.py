@@ -6,10 +6,11 @@
 
 The change is this checkout's working tree; the parent is --base (default
 HEAD), checked out with ``git worktree`` under .bench_work/ and removed
-again at the end.  Each pair runs the unchanged ``bench/run.py --workload
-W --seed S --seconds T --trace 0`` of both trees, one after the other, the
-order swapped every pair so that drift of the host's speed hits both
-alike.  BENCH_<slug>.json gets, per end-to-end metric, both sides' values,
+again at the end, or, when --base names a directory, the checkout there
+(a ``git clone`` of the parent, say), used as it is.  Each pair runs the
+unchanged ``bench/run.py --workload W --seed S --seconds T --trace 0`` of
+both trees, one after the other, the order swapped every pair so that
+drift of the host's speed hits both alike.  BENCH_<slug>.json gets, per end-to-end metric, both sides' values,
 medians and quartiles and the number of pairs the change won, plus each
 side's error rate, ``src/`` line count, the Python and numpy versions and
 whether PYTHONDONTWRITEBYTECODE was set.
@@ -37,7 +38,11 @@ def git(*args: str) -> str:
 
 @contextlib.contextmanager
 def worktree(base: str, path: Path = WORKTREE):
-    """Revision ``base`` checked out with ``git worktree`` at ``path``, removed at exit."""
+    """Revision ``base`` checked out with ``git worktree`` at ``path``, removed at
+    exit; or ``base`` itself when it is the directory of a checkout."""
+    if Path(base).is_dir():
+        yield Path(base).resolve()
+        return
     path.parent.mkdir(exist_ok=True)
     git("worktree", "add", "--detach", "--force", str(path), git("rev-parse", base))
     try:
@@ -89,7 +94,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--slug", required=True, help="writes BENCH_<slug>.json")
-    parser.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
+    parser.add_argument("--base", default="HEAD",
+                        help="parent revision (default HEAD), or a checkout's directory")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--workload", default="all")

@@ -1,23 +1,30 @@
 #!/usr/bin/env python3
 """Fresh-process `estimate` on 10k, 200k and 1M-point scenes, 1 and 3 views each,
-and on each size as one view with a bad record near its end.
+and on each size as one view with a bad record near its end and as one
+tab-separated view with "\\r\\n" line ends.
 
     python3 tools/ingest_scale.py                    # working tree against HEAD
     python3 tools/ingest_scale.py --base HEAD~1 --repeats 5
+    python3 tools/ingest_scale.py --base ../parent   # a checkout of the parent
 
 Each scene is a seeded softgrip.synthetic cylinder with uniform outliers
 beside it (one point in ten), N points in total, written as shortest
-round-trip XYZ text: as one view, or split in three views, each in its own
-camera frame.  The malformed case is the one-view scene with its
-last-but-two record replaced by one that does not parse, so the view is
-converted by numpy, refused, and read again by the per-line parser up to
-that record.  Every case runs ``softgrip estimate --roi`` (the box keeps
-the cylinder) in a fresh interpreter with ``src`` on PYTHONPATH, for the
-working tree and for --base (checked out with ``git worktree`` under
-.bench_work/), the two sides alternated and their order swapped every
-repeat.  The children are started by bench/launcher.py, a small process
-started before any scene is generated, because Linux carries the
-spawning process's peak RSS into a child's ``ru_maxrss`` at exec.
+round-trip XYZ text, one space between fields: as one view, or split in
+three views, each in its own camera frame.  These go through the orjson
+tier of the parse.  The malformed case is the one-view scene with its
+last-but-two record replaced by one that does not parse: orjson converts
+the view's chunks up to the one that holds that record, and from that
+chunk on numpy refuses the rest and the per-line parser reads it up to
+that record.  The tab case is the one-view scene with tabs between fields
+and "\\r\\n" after each record, which the orjson tier refuses and numpy
+converts whole.  Every case runs ``softgrip estimate --roi`` (the box
+keeps the cylinder) in a fresh interpreter with ``src`` on PYTHONPATH,
+for the working tree and for --base (checked out with ``git worktree``
+under .bench_work/, or a checkout's directory used as it is), the two
+sides alternated and their order swapped every repeat.  The children are
+started by bench/launcher.py, a small process started before any scene is
+generated, because Linux carries the spawning process's peak RSS into a
+child's ``ru_maxrss`` at exec.
 Printed per case and side: the median wall time of the child and the
 median of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Both sides must
 write the same estimate.json, or for the malformed case exit 2 with the
@@ -62,10 +69,12 @@ def _pose(k: int) -> np.ndarray:
 
 
 def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
-                malformed: bool = False) -> Path:
+                kind: str = "") -> Path:
     """A scene of n_points in total over n_views XYZ files, the last one
-    ending in BAD_RECORD and two good records if ``malformed``; returns its
-    manifest."""
+    ending in BAD_RECORD and two good records if ``kind`` is "bad record",
+    every one tab-separated with "\\r\\n" line ends if it is "tab crlf";
+    returns its manifest."""
+    sep, end = ("\t", "\r\n") if kind == "tab crlf" else (" ", "\n")
     n_noise = n_points // 10
     cylinder = make_cylinder(n_points=n_points - n_noise, seed=seed, center=(0.0, 0.0, 0.06))
     noise = uniform_box_noise(n_noise, side_m=0.1, seed=seed + 1, center=(0.3, 0.0, 0.06))
@@ -75,10 +84,10 @@ def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
     for k, part in enumerate(np.array_split(points, n_views)):
         pose = _pose(k)
         camera = (part - pose[:3, 3]) @ pose[:3, :3]  # global to camera: R^T (p - t)
-        with open(folder / f"view_{k}.xyz", "w", encoding="utf-8") as fh:
-            fh.write(f"# view {k} of {n_views}, seed {seed}\n")
-            rows = [f"{x!r} {y!r} {z!r}\n" for x, y, z in camera.tolist()]
-            if malformed and k == n_views - 1:
+        with open(folder / f"view_{k}.xyz", "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# view {k} of {n_views}, seed {seed}{end}")
+            rows = [f"{x!r}{sep}{y!r}{sep}{z!r}{end}" for x, y, z in camera.tolist()]
+            if kind == "bad record" and k == n_views - 1:
                 rows[-3] = BAD_RECORD
             fh.writelines(rows)
         views.append({"cloud": f"view_{k}.xyz", "transform": pose.ravel().tolist()})
@@ -104,7 +113,8 @@ def run_estimate(launcher: Launcher, tree: Path, manifest: Path, out: Path,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
+    parser.add_argument("--base", default="HEAD",
+                        help="parent revision (default HEAD), or a checkout's directory")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=4242)
     args = parser.parse_args(argv)
@@ -112,17 +122,19 @@ def main(argv=None) -> int:
     rows = []
     with Launcher() as launcher, tempfile.TemporaryDirectory(prefix="ingest_scale_") as tmp, \
             worktree(args.base, WORKTREE.with_name("ingest_base")) as base:
-        cases = [(n, v, False) for n in SIZES for v in VIEWS] + [(n, 1, True) for n in SIZES]
-        for n_points, n_views, malformed in cases:
-            case = f"{n_points // 1000}k x {n_views}{', bad record' if malformed else ''}"
-            manifest = write_scene(Path(tmp) / f"{n_points}x{n_views}{'_bad' * malformed}",
-                                   n_points, n_views, args.seed, malformed)
+        cases = [(n, v, "") for n in SIZES for v in VIEWS]
+        cases += [(n, 1, kind) for kind in ("bad record", "tab crlf") for n in SIZES]
+        for n_points, n_views, kind in cases:
+            case = f"{n_points // 1000}k x {n_views}{', ' * bool(kind)}{kind}"
+            manifest = write_scene(Path(tmp) / f"{n_points}x{n_views}_{kind.replace(' ', '_')}",
+                                   n_points, n_views, args.seed, kind)
             runs = {"base": [], "change": []}
             for i in range(args.repeats):
                 order = [("base", base), ("change", ROOT)]
                 for name, tree in order if i % 2 == 0 else order[::-1]:
                     runs[name].append(run_estimate(launcher, tree, manifest,
-                                                   Path(tmp) / name, 2 if malformed else 0))
+                                                   Path(tmp) / name,
+                                                   2 if kind == "bad record" else 0))
             same = len({output for side in runs.values() for *_, output in side}) == 1
             rows.append((case, runs, same))
             print(f"{case}: done", file=sys.stderr)
