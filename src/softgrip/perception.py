@@ -4,7 +4,8 @@ Clouds are meters; the gripper geometry is millimeters.  The one unit
 conversion is object_diameter_mm, and exceeds_aperture, which decide_approach
 and both planners call, is the one test of an object against the open
 fingers.  Parsing covers plain ASCII XYZ ("x y z" per line, '#' comments) and
-ASCII PCD v0.7 with FIELDS x y z, converted by orjson, np.loadtxt or float().
+ASCII PCD v0.7 with FIELDS x y z, read as lines from the view's bytes and
+converted by orjson or float().
 """
 
 from __future__ import annotations
@@ -205,12 +206,6 @@ _PCD_HEADER_KEYS = {
     "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS", "DATA",
 }
 
-# Bytes that np.loadtxt and the per-line parser split and strip alike:
-# printable ASCII, tab and newline.  A '\r' is checked apart, since only
-# "\r\n" ends a line the same way for both.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
-
-
 def _meaningful_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
     """Yield (line number, counted from ``start``, line as given) of each line
     that is neither blank nor a '#' comment."""
@@ -280,36 +275,51 @@ def _read_header(lines: Iterator[tuple[int, str]]) -> tuple[tuple[int, int] | No
     return declared, next(lines, None)
 
 
-_JSON_CHUNK_BYTES = 1 << 17  # bounds the orjson tier's transient copies (~5 times this)
+def _lines(stream: IO[bytes]) -> Iterator[str]:
+    """The lines of a stream of UTF-8 bytes as str.splitlines gives them, read
+    one "\n"-line at a time: no line break that splitlines knows spans a "\n"."""
+    text = map(bytes.decode, stream, itertools.repeat("utf-8"), itertools.repeat("surrogatepass"))
+    return itertools.chain.from_iterable(map(str.splitlines, text))
+
+
+_JSON_CHUNK_BYTES = 1 << 17  # bounds the orjson tier's transient copies (5 or 6 times this)
+_NUMBER_BYTES = b"0123456789.eE+-"
 
 
 def _json_rows(raw: bytes, pos: int, size: int) -> tuple[list[np.ndarray], int]:
     """The rows (at most ``size``) orjson converts from raw's byte offset pos, one
     call per ~128 KiB chunk of whole lines, and the offset of the first chunk
     refused (len(raw) if none).  A chunk is taken only where that gives float()'s
-    doubles: bytes "0-9.eE+-", one space between three fields, "\n" between lines,
-    a JSON array (no empty field, "+1", ".5", "1.", "01" or overflow), no "-0"
-    token (JSON's int 0) if a value is 0.  A blank chunk holds no rows."""
+    doubles: its lines are three fields of bytes "0-9.eE+-", one space apart,
+    each ending in "\n" (a chunk with other blanks, space, tab and "\r" before
+    "\n", is first rewritten so, without its blank lines); they form a JSON array
+    (no empty field, "+1", ".5", "1.", "01" or overflow); and no "-0" token
+    (JSON's int 0) sits in a chunk with a 0."""
     import orjson  # here, so that a command that reads no cloud never loads it
 
     out, n = None, 0
     while pos < len(raw):
         end = raw.find(b"\n", pos + _JSON_CHUNK_BYTES) + 1 or len(raw)
-        body = raw[pos:end].removesuffix(b"\n")
-        seps, block = body.translate(None, b"0123456789.eE+-"), None
-        if seps == b"  \n" * (len(seps) // 3) + b"  ":
-            text = body.translate(bytes.maketrans(b" \n", b",,"))
-            try:
-                block = np.array(orjson.loads(b"[" + text + b"]"), dtype=np.float64).reshape(-1, 3)
-            except (ValueError, TypeError, OverflowError):
-                pass
-        if block is not None and np.isfinite(block).all() and (
-                block.all() or b",-0," not in b"," + text + b","):
-            out = np.empty((size, 3)) if out is None else out  # one array, filled in place
-            out[n:n + len(block)] = block
-            n += len(block)
-        elif not raw[pos:end].isspace():  # np.loadtxt would warn on a blank tail
+        chunk = raw[pos:end] if raw.endswith(b"\n", pos, end) else raw[pos:end] + b"\n"
+        seps = chunk.translate(None, _NUMBER_BYTES)
+        # "\r" is counted on the chunk: with the numbers gone, "1\r2\n" looks like "\r\n".
+        if seps != b"  \n" * (len(seps) // 3) and not seps.translate(None, b" \t\r\n") \
+                and chunk.count(b"\r") == chunk.count(b"\r\n"):
+            lines = map(bytes.split, chunk.split(b"\n"))
+            chunk = b"".join(b" ".join(fields) + b"\n" for fields in lines if fields)
+            seps = chunk.translate(None, _NUMBER_BYTES)
+        if seps != b"  \n" * (len(seps) // 3):
             break
+        text = memoryview(chunk.translate(bytes.maketrans(b" \n", b",,")))[:-1]  # no last ","
+        try:
+            block = np.array(orjson.loads(b"".join((b"[", text, b"]"))), dtype=float).reshape(-1, 3)
+        except (ValueError, TypeError, OverflowError):
+            break
+        if not np.isfinite(block).all() or not block.all() and b",-0," in b",%b," % text:
+            break
+        out = np.empty((size, 3)) if out is None else out  # one array, filled in place
+        out[n:n + len(block)] = block
+        n += len(block)
         pos = end
     return [out[:n]] if n else [], pos
 
@@ -317,48 +327,30 @@ def _json_rows(raw: bytes, pos: int, size: int) -> tuple[list[np.ndarray], int]:
 def parse_cloud(data: bytes | str) -> PointCloud:
     """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame cloud.
 
-    The leading blank and '#' lines and a PCD header through DATA are read
-    once, line by line.  A plain view, nothing but _PLAIN_BYTES and "\r\n",
-    is read from its bytes from the first record on: _json_rows converts
-    chunks of single-space records with orjson, np.loadtxt the rest from the
-    first chunk refused (kept if every record is three finite numbers), and
-    else float() line by line.  Any other view goes through float() line by
-    line over its decoded text.  All give the same doubles.  Raises
-    ParseError with the line/column of the first malformed record.
+    Lines come from the view's bytes alone (_lines).  The leading blank and
+    '#' lines and a PCD header through DATA are read once, line by line.
+    From the first record's line on, _json_rows converts chunks of records
+    with orjson, and from the first chunk it refuses float() reads the rest
+    line by line; both give the same doubles.  Raises ParseError with the
+    line/column of the first malformed record.
     """
-    # Any str encodes; one that is not plain ASCII then fails the guard.
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    rest = raw.translate(None, _PLAIN_BYTES.replace(b"\n", b""))  # keeps "\n", to count it
-    newlines = rest.count(b"\n")
-    plain = rest.count(b"\r") == len(rest) - newlines == raw.count(b"\r\n")
-    if plain:
-        stream = io.BytesIO(raw)
-        lines = map(bytes.decode, stream)
-    else:
-        if isinstance(data, bytes):
-            try:
-                data = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-        lines = data.splitlines()
-    records = _meaningful_lines(lines)
+    if isinstance(data, bytes) and not raw.isascii():  # decoded once: this error comes first
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+    stream = io.BytesIO(raw)
+    records = _meaningful_lines(_lines(stream))
     declared, first = _read_header(records)
-    blocks, head = [], [first] if first and not plain else []
-    if plain and first:
-        start = stream.tell() - len(first[1])  # the first record's byte offset
-        blocks, pos = _json_rows(raw, start, newlines - first[0] + 2)
-        stream.seek(pos)  # records reads on from here, and finds nothing left once converted
-        if pos < len(raw):
-            try:
-                block = np.loadtxt(stream, comments=None, dtype=np.float64, ndmin=2)
-            except ValueError:
-                block = None
-            if block is not None and block.shape[1] == 3 and np.isfinite(block).all():
-                blocks.append(block)
-            else:  # the per-line loop resumes at pos, counting lines on from the first record
-                stream.seek(pos)
-                lines = map(bytes.decode, stream)
-                records = _meaningful_lines(lines, first[0] + raw.count(b"\n", start, pos))
+    blocks, head = [], [first] if first else []
+    if first:
+        start = raw.rfind(b"\n", 0, stream.tell() - 1) + 1  # the first record's "\n"-line
+        blocks, pos = _json_rows(raw, start, raw.count(b"\n", start) + 1)
+        if pos > start:  # the per-line loop resumes at pos, counting lines on from the first record
+            stream.seek(pos)
+            line_no = first[0] + raw.count(b"\n", start, pos)
+            head, records = [], _meaningful_lines(_lines(stream), line_no)
     rows = [_parse_xyz_record(line.split(), n) for n, line in itertools.chain(head, records)]
     if rows or not blocks:
         blocks.append(np.array(rows, dtype=np.float64).reshape(len(rows), 3))

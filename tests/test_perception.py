@@ -121,7 +121,7 @@ def test_generated_cylinder_roundtrips_bit_identically():
 
 
 # ---------------------------------------------------------------------------
-# streamed parsing: plain views go from their bytes to np.loadtxt
+# streamed parsing: every view's lines come from its bytes, and records go to orjson
 # ---------------------------------------------------------------------------
 
 CLEAN_POINTS = [[0.1, 0.2, 0.3], [-1.0, 0.002, 4.0]]
@@ -143,6 +143,10 @@ def _count_calls(monkeypatch, name):
     b"# view\n0.1 0.2 0.3\n\n-1 2e-3 4\n",
     b"# view\r\n0.1 0.2 0.3\r\n\r\n-1 2e-3 4\r\n",
     b"\t\n  # view\n  0.1\t0.2 0.3  \n-1 2e-3 4",
+    b"# view\n0.1\t0.2\t0.3\n-1\t2e-3\t4\n",
+    b"# view\n0.1  0.2  0.3\n-1  2e-3  4\n",
+    b"# view\r\n0.1 0.2 0.3 \r\n-1 2e-3 4\t\r\n",
+    "# caf\u00e9\n0.1 0.2 0.3\n-1 2e-3 4\n".encode("utf-8"),
     CLEAN_PCD,
     CLEAN_PCD.replace(b"\n", b"\r\n"),
     b"# .PCD v0.7\n\nVERSION .7\n# fields\nFIELDS x y z\nPOINTS 2\nDATA ascii\n\n0.1 0.2 0.3\n-1 2e-3 4\n",
@@ -155,7 +159,6 @@ def test_clean_views_never_reach_the_per_line_parser(monkeypatch, data):
 
 @pytest.mark.parametrize("data", [
     b"0.1 0.2 0.3\n# between records\n-1 2e-3 4\n",
-    "# caf\u00e9\n0.1 0.2 0.3\n-1 2e-3 4\n".encode("utf-8"),
     b"# view\r0.1 0.2 0.3\r-1 2e-3 4\r",
     CLEAN_PCD + b"# trailing\n",
 ])
@@ -170,7 +173,7 @@ def test_other_views_go_to_the_per_line_parser_and_give_the_same_points(monkeypa
     (CLEAN_PCD.replace(b"x y z", b"x y"), None),
 ])
 def test_the_pcd_header_is_read_once(monkeypatch, data, points):
-    # A plain view that numpy refuses, and one whose header is malformed.
+    # A view that orjson refuses, and one whose header is malformed.
     calls = _count_calls(monkeypatch, "_pcd_header")
     if points is None:
         with pytest.raises(ParseError, match="unsupported fields") as err:
@@ -237,7 +240,7 @@ def test_a_plain_view_that_falls_back_reads_its_bytes_without_a_decoded_copy(bad
 
 def test_a_refused_view_is_not_converted_twice(monkeypatch, bad_view):
     # The chunks before the bad record's are kept from the orjson tier; only
-    # the rest goes to np.loadtxt and then to the per-line parser.
+    # the rest goes to the per-line parser.
     calls = _count_calls(monkeypatch, "_parse_xyz_record")
     with pytest.raises(ParseError, match="malformed number 'oops'") as err:
         parse_cloud(bad_view)

@@ -1,15 +1,16 @@
 """Property-based checks of the fast point-cloud ingest.
 
-parse_cloud converts a plain view's records with orjson a chunk at a time,
-then from the first chunk it refuses with np.loadtxt, and falls back to the
-per-line parser on any doubt.  The reference here is that per-line parser
-alone, reached by making both vectorised tiers refuse: on every drawn file,
-at any chunk size, both must return the same array bit for bit, or raise
-the same ParseError at the same line and column.  A plain view's per-line
-parser reads lines from its bytes; the second reference is the same file
-with a trailing non-ASCII comment, whose lines come from its decoded text.
+parse_cloud reads every view's lines from its bytes, converts its records
+with orjson a chunk at a time, and from the first chunk orjson refuses
+reads the rest with the per-line parser.  Two references: that per-line
+parser alone, reached by making the orjson tier refuse; and a parse of the
+decoded text (str.splitlines) line by line, kept here as the reference for
+the line source.  On every drawn file, at any chunk size, parse_cloud must
+return the same array bit for bit as both, or raise the same ParseError at
+the same line and column.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -39,7 +40,7 @@ ODD_TOKENS = [
     "１", "1\x002", "'1'", '"1"', "3j", "1e", "e1", ".", "+", "--1", "0b1",
 ]
 
-SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", " ", "\x1f"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", " ", "\x1f", "\r"]
 NEWLINES = ["\n", "\r\n", "\r", "\x0b", "\x85", " "]
 
 finite_repr = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -109,10 +110,31 @@ def _outcome(data):
 
 
 def per_line_outcome(data):
-    """parse_cloud with the orjson and np.loadtxt tiers refusing every chunk."""
-    with mock.patch.object(perception, "_json_rows", lambda raw, pos, size: ([], pos)), \
-            mock.patch.object(perception.np, "loadtxt", side_effect=ValueError("disabled")):
+    """parse_cloud with the orjson tier refusing every chunk."""
+    with mock.patch.object(perception, "_json_rows", lambda raw, pos, size: ([], pos)):
         return _outcome(data)
+
+
+def decoded_text_outcome(data):
+    """_outcome of a parse of data's decoded text, line by line: how parse_cloud
+    read any view that was not plain ASCII before it read lines from bytes."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ("error", f"input is not UTF-8 text: {exc}", None, None)
+    try:
+        records = perception._meaningful_lines(data.splitlines())
+        declared, first = perception._read_header(records)
+        rows = [perception._parse_xyz_record(line.split(), n)
+                for n, line in itertools.chain([first] if first else [], records)]
+        if declared is not None and declared[0] != len(rows):
+            raise ParseError(f"POINTS declares {declared[0]} records but data has {len(rows)}",
+                             line=declared[1])
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    cloud = PointCloud(np.array(rows, dtype=np.float64).reshape(len(rows), 3))
+    return ("cloud", cloud.points.shape, cloud.points.tobytes(), cloud.frame_id)
 
 
 # The orjson tier's chunk size as shipped (None), or of tens of bytes, a line
@@ -120,10 +142,12 @@ def per_line_outcome(data):
 chunk_sizes = st.one_of(st.none(), st.integers(1, 80))
 
 
-# "error": np.loadtxt warns when it is handed a blank tail.
+# "error": no tier may warn on any input, such as a blank chunk.
 @pytest.mark.filterwarnings("error::UserWarning")
 @settings(max_examples=300, deadline=None)
 @given(cloud_files(), chunk_sizes)
+@example(b"1 2\r3\n", None)
+@example(b"1 2 3\n4 5\r6\n", 6)
 @example(b"1 2 3\n4 5 6\n7 8 oops\n1 2 3\n", 6)
 @example(b"1 2 3\n-0 0 1\n4 5 6\n", 6)
 @example(b"1 2 3\n4 5 6\n\n", 6)
@@ -135,16 +159,21 @@ def test_fast_parse_matches_per_line_parser(data, chunk_bytes):
 
 
 def with_non_ascii_comment(data):
-    """data and a last line '# café', which keeps it off the plain-bytes path."""
+    """data and a last line '# café', which makes the view UTF-8 but not ASCII."""
     line = "\n# caf\u00e9\n"
     return data + (line.encode("utf-8") if isinstance(data, bytes) else line)
 
 
-@settings(max_examples=200, deadline=None)
-@given(cloud_files())
-def test_reading_lines_from_bytes_matches_reading_the_decoded_text(data):
-    decoded = _outcome(with_non_ascii_comment(data))
-    assert _outcome(data) == decoded
+@settings(max_examples=300, deadline=None)
+@given(cloud_files(), chunk_sizes, st.booleans())
+@example(b"1 2\r3\n", None, False)
+@example(b"1 2 3\n4 5\x0c6\n", 6, True)
+def test_reading_lines_from_bytes_matches_reading_the_decoded_text(data, chunk_bytes, comment):
+    data = with_non_ascii_comment(data) if comment else data
+    decoded = decoded_text_outcome(data)
+    with mock.patch.object(perception, "_JSON_CHUNK_BYTES",
+                           chunk_bytes or perception._JSON_CHUNK_BYTES):
+        assert _outcome(data) == decoded
     assert per_line_outcome(data) == decoded
 
 
@@ -181,8 +210,8 @@ def _decimal_strings(rng, n):
 def test_orjson_tier_reads_numbers_as_float_does():
     # Random bit patterns written with repr, and long decimal strings, as
     # single-space records: any orjson that reads a number differently from
-    # float() must fail here, not change an estimate.json.  np.loadtxt is made
-    # to fail, so that every chunk must be taken by the orjson tier.
+    # float() must fail here, not change an estimate.json.  The per-line parser
+    # is made to fail, so that every chunk must be taken by the orjson tier.
     rng = np.random.default_rng(20210701)
     values = np.frombuffer(rng.bytes(8 * 220_000), dtype=np.float64)
     values = values[np.isfinite(values)]
@@ -192,7 +221,7 @@ def test_orjson_tier_reads_numbers_as_float_does():
     tokens += ["1"] * (-len(tokens) % 3)
     data = "".join(f"{a} {b} {c}\n" for a, b, c in zip(*[iter(tokens)] * 3)).encode()
     assert len(data) > 2 * perception._JSON_CHUNK_BYTES
-    with mock.patch.object(perception.np, "loadtxt", side_effect=AssertionError("refused")):
+    with mock.patch.object(perception, "_parse_xyz_record", side_effect=AssertionError("refused")):
         points = parse_cloud(data).points
     assert points.tobytes() == np.array(list(map(float, tokens))).reshape(-1, 3).tobytes()
 
@@ -262,5 +291,5 @@ def test_transform_matches_strided_product_on_large_views(seed):
 
 @pytest.mark.parametrize("text", ["1_0 2 3", "١٢ 2 3", "１ 2.5 3"])
 def test_records_numpy_rejects_but_float_accepts_still_parse(text):
-    # The vectorised call refuses these; the per-line fallback reads them.
+    # The orjson tier refuses these; the per-line fallback reads them.
     assert parse_cloud(text).points.tolist() == [[float(t) for t in text.split()]]

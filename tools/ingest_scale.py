@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Fresh-process `estimate` on 10k, 200k and 1M-point scenes, 1 and 3 views each,
-and on each size as one view with a bad record near its end and as one
-tab-separated view with "\\r\\n" line ends.
+and on each size as one view in each other record shape of RECORDS.
 
     python3 tools/ingest_scale.py                    # working tree against HEAD
     python3 tools/ingest_scale.py --base HEAD~1 --repeats 5
@@ -14,22 +13,23 @@ three views, each in its own camera frame.  These go through the orjson
 tier of the parse.  The malformed case is the one-view scene with its
 last-but-two record replaced by one that does not parse: orjson converts
 the view's chunks up to the one that holds that record, and from that
-chunk on numpy refuses the rest and the per-line parser reads it up to
-that record.  The tab case is the one-view scene with tabs between fields
-and "\\r\\n" after each record, which the orjson tier refuses and numpy
-converts whole.  Every case runs ``softgrip estimate --roi`` (the box
-keeps the cylinder) in a fresh interpreter with ``src`` on PYTHONPATH,
-for the working tree and for --base (checked out with ``git worktree``
-under .bench_work/, or a checkout's directory used as it is), the two
-sides alternated and their order swapped every repeat.  The children are
-started by bench/launcher.py, a small process started before any scene is
+chunk on the per-line parser reads the rest up to that record.  The
+"\\r\\n", tab "\\r\\n" and two-space views are rewritten to single
+spaces a chunk at a time and read by orjson too; so is the view whose
+"# café" header line is UTF-8 but not ASCII.  The "%+.6f" view's "+0.1"
+is not JSON, so the per-line parser reads it whole.  Every case runs
+``softgrip estimate --roi`` (the box keeps the cylinder) in a fresh
+interpreter with ``src`` on PYTHONPATH, for the working tree and for
+--base (checked out with ``git worktree`` under .bench_work/, or a
+checkout's directory used as it is), the two sides alternated and their
+order swapped every repeat.  The children are started by
+bench/launcher.py, a small process started before any scene is
 generated, because Linux carries the spawning process's peak RSS into a
 child's ``ru_maxrss`` at exec.
 Printed per case and side: the median wall time of the child and the
 median of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Both sides must
 write the same estimate.json, or for the malformed case exit 2 with the
-same stderr.  The worktree and the scenes are removed at
-the end.
+same stderr.  The worktree and the scenes are removed at the end.
 """
 
 from __future__ import annotations
@@ -52,6 +52,16 @@ from softgrip import make_cylinder, uniform_box_noise  # noqa: E402
 SIZES = (10_000, 200_000, 1_000_000)
 VIEWS = (1, 3)
 BAD_RECORD = "0.0 0.0x1 0.0\n"  # written in place of a malformed view's last-but-two record
+# The record format and header line of each kind of scene.
+RECORDS = {
+    "": ("{!r} {!r} {!r}\n", "# view"),
+    "bad record": ("{!r} {!r} {!r}\n", "# view"),
+    "tab crlf": ("{!r}\t{!r}\t{!r}\r\n", "# view"),
+    "crlf": ("{!r} {!r} {!r}\r\n", "# view"),
+    "two spaces": ("{!r}  {!r}  {!r}\n", "# view"),
+    "%+.6f": ("{:+.6f} {:+.6f} {:+.6f}\n", "# view"),
+    "# caf\u00e9": ("{!r} {!r} {!r}\n", "# caf\u00e9 view"),
+}
 ROI = (-0.06, -0.06, -0.01, 0.06, 0.06, 0.13)
 # The first argument is the src directory to import softgrip from.
 CLI_CODE = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
@@ -70,11 +80,11 @@ def _pose(k: int) -> np.ndarray:
 
 def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
                 kind: str = "") -> Path:
-    """A scene of n_points in total over n_views XYZ files, the last one
-    ending in BAD_RECORD and two good records if ``kind`` is "bad record",
-    every one tab-separated with "\\r\\n" line ends if it is "tab crlf";
-    returns its manifest."""
-    sep, end = ("\t", "\r\n") if kind == "tab crlf" else (" ", "\n")
+    """A scene of n_points in total over n_views XYZ files, whose records and
+    header line ``kind`` picks from RECORDS, the last one ending in BAD_RECORD
+    and two good records if ``kind`` is "bad record"; returns its manifest."""
+    record, header = RECORDS[kind]
+    end = "\r\n" if record.endswith("\r\n") else "\n"
     n_noise = n_points // 10
     cylinder = make_cylinder(n_points=n_points - n_noise, seed=seed, center=(0.0, 0.0, 0.06))
     noise = uniform_box_noise(n_noise, side_m=0.1, seed=seed + 1, center=(0.3, 0.0, 0.06))
@@ -85,8 +95,8 @@ def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
         pose = _pose(k)
         camera = (part - pose[:3, 3]) @ pose[:3, :3]  # global to camera: R^T (p - t)
         with open(folder / f"view_{k}.xyz", "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# view {k} of {n_views}, seed {seed}{end}")
-            rows = [f"{x!r}{sep}{y!r}{sep}{z!r}{end}" for x, y, z in camera.tolist()]
+            fh.write(f"{header} {k} of {n_views}, seed {seed}{end}")
+            rows = [record.format(*point) for point in camera.tolist()]
             if kind == "bad record" and k == n_views - 1:
                 rows[-3] = BAD_RECORD
             fh.writelines(rows)
@@ -123,11 +133,10 @@ def main(argv=None) -> int:
     with Launcher() as launcher, tempfile.TemporaryDirectory(prefix="ingest_scale_") as tmp, \
             worktree(args.base, WORKTREE.with_name("ingest_base")) as base:
         cases = [(n, v, "") for n in SIZES for v in VIEWS]
-        cases += [(n, 1, kind) for kind in ("bad record", "tab crlf") for n in SIZES]
-        for n_points, n_views, kind in cases:
+        cases += [(n, 1, kind) for kind in list(RECORDS)[1:] for n in SIZES]
+        for i, (n_points, n_views, kind) in enumerate(cases):
             case = f"{n_points // 1000}k x {n_views}{', ' * bool(kind)}{kind}"
-            manifest = write_scene(Path(tmp) / f"{n_points}x{n_views}_{kind.replace(' ', '_')}",
-                                   n_points, n_views, args.seed, kind)
+            manifest = write_scene(Path(tmp) / f"case_{i}", n_points, n_views, args.seed, kind)
             runs = {"base": [], "change": []}
             for i in range(args.repeats):
                 order = [("base", base), ("change", ROOT)]
