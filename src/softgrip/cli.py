@@ -13,7 +13,6 @@ error that ended the run (see softgrip.errors).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -27,17 +26,19 @@ from . import geometry as geometry_mod
 from .capacity import default_capacity_model, load_capacity_model
 from .errors import ConfigError, EmptyCloudError, NoContactError, ParseError, SoftgripError
 from .geometry import GripperGeometry, default_geometry
-from .inputs import decode_json, from_dict, read_bytes
+from .inputs import HashingReader, decode_json, from_dict
 from .perception import (
     DEFAULT_TRIM_FRACTION,
     DEFAULT_WORKSPACE,
     Box,
     ObjectEstimate,
+    PointCloud,
     crop_cloud,
     decide_approach,
     estimate_object,
     is_small_height,
     load_scene_manifest,
+    max_records,
     merge_clouds,
     parse_cloud,
     transform_cloud,
@@ -79,14 +80,19 @@ class RunDir:
         self.command = args.command
         self.parameters = {key: value for key, value in sorted(vars(args).items())
                            if key not in ("func", "command", "config", "out")}
-        self.inputs: dict[str, str] = {}
+        self.inputs: dict = {}  # path -> sha256 of the bytes read
         self.outputs: list[str] = []
+
+    def open_input(self, path) -> HashingReader:
+        """Open an input file, whose hash is recorded from the bytes read."""
+        reader = HashingReader(path)
+        self.inputs[str(path)] = reader.sha256
+        return reader
 
     def record_input(self, path) -> bytes:
         """Read an input file, record its hash and return the bytes hashed."""
-        data = read_bytes(path)
-        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
-        return data
+        with self.open_input(path) as reader:
+            return reader.read()
 
     def read_json(self, path):
         """Read a JSON input once: hash its bytes and decode the same bytes."""
@@ -122,7 +128,7 @@ class RunDir:
         manifest = {
             "command": self.command,
             "parameters": self.parameters,
-            "inputs": dict(sorted(self.inputs.items())),
+            "inputs": {path: sha.hexdigest() for path, sha in sorted(self.inputs.items())},
             "outputs": sorted(self.outputs),
         }
         self.write_json("run_manifest.json", manifest)
@@ -179,29 +185,40 @@ def _box(flag: str) -> Box:
     return from_dict(Box, {"min_corner": values[:3], "max_corner": values[3:]}, "--roi")
 
 
+def _size(path) -> int:
+    """The size of a file, or 0 if it cannot be read: reading it raises the error."""
+    try:
+        return os.stat(path).st_size
+    except (OSError, ValueError):
+        return 0
+
+
 def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
     roi = _box(args.roi) if args.roi else cfg.roi
     manifest_path = Path(args.manifest)
     views = load_scene_manifest(run.read_json(manifest_path), f"manifest {manifest_path}")
 
-    # Each view is cropped as soon as it is in the global frame, so only the
-    # kept points are held and merged.  Cropping keeps order point by point,
-    # so this is the crop of the merged views.
+    # Each view is parsed from its file a block at a time, and cropped as
+    # soon as it is in the global frame; merge_clouds takes the kept points
+    # view by view into one array.  Cropping keeps order point by point, so
+    # this is the crop of the merged views.
+    paths = [manifest_path.parent / cloud_rel for cloud_rel, _ in views]
     stage_counts: dict[str, int] = {}
-    kept = []
-    for i, (cloud_rel, pose) in enumerate(views):
-        cloud_path = manifest_path.parent / cloud_rel
-        try:  # an unreadable cloud raises ConfigError, which names it already
-            cloud = parse_cloud(run.record_input(cloud_path))
-        except ParseError as exc:
-            raise ParseError(f"{cloud_path}: {exc}") from exc
+
+    def kept(i: int, cloud_path: Path, pose) -> PointCloud:
+        # An unreadable cloud raises ConfigError, which names it already.
+        with run.open_input(cloud_path) as stream:
+            try:
+                cloud = parse_cloud(stream)
+            except ParseError as exc:
+                raise ParseError(f"{cloud_path}: {exc}") from exc
         stage_counts[f"view_{i}_parsed"] = len(cloud)
         cloud = transform_cloud(cloud, pose)
-        kept.append(cloud if roi is None else crop_cloud(cloud, roi))
-        del cloud
+        return cloud if roi is None else crop_cloud(cloud, roi)
 
-    merged = merge_clouds(kept)
-    del kept
+    # A generator of calls, so that no view is held once merge_clouds has it.
+    each = (kept(i, path, pose) for i, (path, (_, pose)) in enumerate(zip(paths, views)))
+    merged = merge_clouds(each, sum(max_records(_size(path)) for path in paths))
     total = sum(stage_counts.values())
     stage_counts["merged"] = total
     print(f"estimate: merged {total} points from {len(views)} view(s)")

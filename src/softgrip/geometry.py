@@ -428,11 +428,18 @@ def _is_positional(block: np.ndarray) -> bool:
 def _cell_texts(columns: Sequence[np.ndarray], dumps) -> list[list[str]]:
     """The text of one chunk of rows, as lists of row texts of one or more cells.
 
-    A positional run of adjacent float64 columns is one list from one
-    ``dumps`` call (orjson.dumps of the run's 2-D array) if ``dumps`` is
-    given, of one text of all rows if the run is the whole table; else each
-    of its columns is a list of float.__repr__ texts, any other column of strings.
+    With ``dumps`` (orjson.dumps), a chunk whose positional float64 columns
+    lead and whose other columns, if any, follow them (the fk and slide
+    traces) is one text of all rows but the last newline (_labelled_text).
+    Otherwise a positional run of adjacent float64 columns is one list from
+    one ``dumps`` call of the run's 2-D array; any other float64 column is a
+    list of float.__repr__ texts, and any other column a list of strings.
     """
+    lead = next((i for i, c in enumerate(columns) if c.dtype != np.float64), len(columns))
+    if dumps and lead and all(c.dtype != np.float64 for c in columns[lead:]):
+        block = np.column_stack(columns[:lead])
+        if _is_positional(block):
+            return [[_labelled_text(block, columns[lead:], dumps)]]
     texts = []
     for is_float, group in groupby(columns, key=lambda c: c.dtype == np.float64):
         group = list(group)
@@ -441,11 +448,28 @@ def _cell_texts(columns: Sequence[np.ndarray], dumps) -> list[list[str]]:
             continue
         block = np.column_stack(group)
         if dumps and _is_positional(block):
-            t = dumps(block)[2:-2].decode()
-            texts.append(t.split("],[") if len(group) < len(columns) else [t.replace("],[", "\n")])
+            texts.append(dumps(block)[2:-2].decode().split("],["))
         else:
             texts += [list(map(float.__repr__, c.tolist())) for c in group]
     return texts
+
+
+def _labelled_text(block: np.ndarray, labels: Sequence[np.ndarray], dumps) -> str:
+    """The rows of a positional float64 block followed by label columns (none,
+    or the slide trace's phase), without the last row's newline: one orjson
+    text per run of rows with equal labels, their labels written in place of
+    each row separator "],[", so no row is joined on its own."""
+    changed = np.zeros(len(block) - 1, dtype=bool)
+    for column in labels:
+        changed |= column[1:] != column[:-1]
+    cuts = [0, *(np.flatnonzero(changed) + 1).tolist(), len(block)]
+    texts = [column.tolist() for column in labels]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        end = "".join(f",{text[lo]}" for text in texts) + "\n"
+        parts += [dumps(block[lo:hi])[2:-2].decode().replace("],[", end), end]
+    parts[-1] = parts[-1][:-1]
+    return "".join(parts)
 
 
 def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -> None:
@@ -457,12 +481,12 @@ def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -
     time, so the text of the whole table is never held at once.
 
     A table of at least ORJSON_MIN_CELLS cells formats each chunk's runs of
-    adjacent float64 columns with one orjson.dumps call per run, whose
-    shortest round-trip digits are those of float.__repr__.  Only a run
-    whose every value is zero or of a magnitude in [1e-4, 1e16) takes that
-    path, where both write positional notation; any other run (NaN, +-inf,
-    a tiny or huge value) is written with float.__repr__, so the bytes are
-    the same either way.
+    adjacent float64 columns with orjson.dumps, whose shortest round-trip
+    digits are those of float.__repr__.  Only a run whose every value is
+    zero or of a magnitude in [1e-4, 1e16) takes that path, where both
+    write positional notation; any other run (NaN, +-inf, a tiny or huge
+    value) is written with float.__repr__, so the bytes are the same either
+    way.
     """
     dumps = None
     if len(columns[0]) * len(columns) >= ORJSON_MIN_CELLS:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import stat
@@ -21,17 +22,44 @@ from .errors import ConfigError, ParseError, SoftgripError
 _FLOAT_MAX = sys.float_info.max
 
 
-def read_bytes(path) -> bytes:
-    """The bytes of a regular file; an unreadable path, or one naming
-    anything else (a FIFO, a device), raises ConfigError naming it.  The
-    type is checked on the descriptor that is read."""
-    try:  # without O_NONBLOCK a FIFO with no writer blocks in open
-        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as stream:
-            if not stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                raise ConfigError(f"cannot read {path}: not a regular file")
-            return stream.read()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+class HashingReader:
+    """A regular file read forward once, its sha256 updated as it is read.
+
+    An unreadable path, or one naming anything else (a FIFO, a device),
+    raises ConfigError naming it; the type is checked on the descriptor that
+    is read.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.sha256 = hashlib.sha256()
+        try:  # without O_NONBLOCK a FIFO with no writer blocks in open
+            self._file = open(path, "rb", buffering=0,
+                              opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
+            info = os.fstat(self._file.fileno())
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        if not stat.S_ISREG(info.st_mode):
+            self._file.close()
+            raise ConfigError(f"cannot read {path}: not a regular file")
+
+    def read(self, size: int = -1) -> bytes:
+        """At most ``size`` bytes (all that are left if negative); b"" at the end."""
+        try:
+            data = self._file.read(size)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {self.path}: {exc}") from exc
+        self.sha256.update(data)
+        return data
+
+    def fileno(self) -> int:
+        return self._file.fileno()
+
+    def __enter__(self) -> "HashingReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
 
 
 def decode_json(data: bytes, what):

@@ -10,11 +10,16 @@ converted by orjson or float().
 
 from __future__ import annotations
 
+import codecs
+import functools
 import io
 import itertools
 import math
+import mmap
+import os
+import re
 from dataclasses import asdict, dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import GripperGeometry, aperture_window
-from .inputs import from_dict, read_bytes
+from .inputs import HashingReader, from_dict
 
 __all__ = [
     "ApproachDecision", "Box", "ObjectEstimate", "PointCloud", "ScenePose", "crop_cloud",
@@ -275,38 +280,143 @@ def _read_header(lines: Iterator[tuple[int, str]]) -> tuple[tuple[int, int] | No
     return declared, next(lines, None)
 
 
-def _lines(stream: IO[bytes]) -> Iterator[str]:
-    """The lines of a stream of UTF-8 bytes as str.splitlines gives them, read
-    one "\n"-line at a time: no line break that splitlines knows spans a "\n"."""
-    text = map(bytes.decode, stream, itertools.repeat("utf-8"), itertools.repeat("surrogatepass"))
+def _lines(lines: Iterable[bytes]) -> Iterator[str]:
+    """The lines of "\n"-lines of UTF-8 bytes as str.splitlines gives them: no
+    line break that splitlines knows spans a "\n"."""
+    text = map(bytes.decode, lines, itertools.repeat("utf-8"), itertools.repeat("surrogatepass"))
     return itertools.chain.from_iterable(map(str.splitlines, text))
 
 
-_JSON_CHUNK_BYTES = 1 << 17  # bounds the orjson tier's transient copies (5 or 6 times this)
+_JSON_CHUNK_BYTES = 1 << 17  # the read block; bounds the tier's transient copies (5 or 6 times)
 _NUMBER_BYTES = b"0123456789.eE+-"
+_SIGN = re.compile(rb"\+(?<![^ \t\n]\+)(?=[0-9])")  # a "+" that starts a token, before a digit
 
 
-def _json_rows(raw: bytes, pos: int, size: int) -> tuple[list[np.ndarray], int]:
-    """The rows (at most ``size``) orjson converts from raw's byte offset pos, one
-    call per ~128 KiB chunk of whole lines, and the offset of the first chunk
-    refused (len(raw) if none).  A chunk is taken only where that gives float()'s
+def max_records(nbytes: int) -> int:
+    """An upper bound on the records in nbytes of cloud text: each takes at
+    least 6 bytes ("1 2 3\n"), the last perhaps 5."""
+    return nbytes // 6 + 1
+
+
+def _unwritten(rows: int) -> np.ndarray:
+    """An uninitialised (rows, 3) float64 array in a mapping of its own: its
+    pages count in RSS only once written (numpy would ask for huge pages for
+    4 MB or more, so RSS would grow 2 MB at a time), and the whole mapping
+    goes back to the system when the array is freed, whatever its size."""
+    mapping = mmap.mmap(-1, 24 * max(rows, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(mapping, dtype=np.float64).reshape(-1, 3)[:rows]
+
+
+def _utf8_error(exc: UnicodeDecodeError, offset: int) -> ParseError:
+    """The error of decoding a whole view, from exc, raised by decoding its
+    bytes from ``offset`` on: CPython's text, with the positions in the view."""
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
+             else f"bytes in position {start}-{end - 1}")
+    return ParseError(f"input is not UTF-8 text: 'utf-8' codec can't decode {where}: {exc.reason}")
+
+
+class _Source:
+    """The bytes of a view, read forward once through ``read(n)`` in blocks of
+    _JSON_CHUNK_BYTES (longer only to finish a longer line), and handed out as
+    "\n"-lines or as chunks of whole lines.  When ``utf8`` is set, each block
+    is checked as it is read, so a decode error is raised before any line
+    holding those bytes is; text that was a str is not checked."""
+
+    def __init__(self, read: Callable[[int], bytes], utf8: bool):
+        self._read = read
+        self._utf8 = codecs.getincrementaldecoder("utf-8")() if utf8 else None
+        self._offset = 0  # of the next block in the view
+        self.buf, self.pos = b"", 0  # the unread bytes are buf[pos:]
+        self.start = 0  # where in buf the last line handed out began
+        self.eof = False
+
+    def _more(self) -> bool:
+        """Append the next block to the unread bytes; False at the end.  A
+        block is as long as the unread bytes when they are longer, so that a
+        long line is read in linear time."""
+        if self.eof:
+            return False
+        block = self._read(max(_JSON_CHUNK_BYTES, len(self.buf) - self.pos))
+        self._check(block)
+        if not block:
+            self.eof = True
+            return False
+        self.buf, self.pos = self.buf[self.pos:] + block, 0
+        return True
+
+    def _check(self, block: bytes) -> None:
+        decoder, offset = self._utf8, self._offset
+        self._offset += len(block)
+        if decoder is None:
+            return
+        pending = decoder.getstate()[0]  # the bytes of a character the last block cut
+        if block.isascii() and not pending:
+            return
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            self.eof = True
+            raise _utf8_error(exc, offset - len(pending)) from exc
+
+    def lines(self) -> Iterator[bytes]:
+        """The unread "\n"-lines, the last perhaps without its "\n"."""
+        while True:
+            end = self.buf.find(b"\n", self.pos) + 1
+            if not end:
+                if self._more():
+                    continue
+                if self.pos == len(self.buf):
+                    return
+                end = len(self.buf)
+            self.start, self.pos = self.pos, end
+            yield self.buf[self.start:end]
+
+    def chunks(self) -> Iterator[bytes]:
+        """The unread bytes as chunks of whole lines, one per block read, each
+        ending in "\n" (the view's last line gets one).  The source moves past
+        a chunk only when the next one is asked for, so it stays at the start
+        of the chunk its reader stopped at."""
+        while True:
+            end = self.buf.rfind(b"\n", self.pos) + 1
+            if end:
+                yield self.buf[self.pos:end]
+                self.pos = end
+            if not self._more():
+                if self.pos < len(self.buf):
+                    yield self.buf[self.pos:] + b"\n"
+                    self.pos = len(self.buf)
+                return
+
+    def drain(self) -> None:
+        """Read, hash and check the rest, keeping none of it."""
+        while not self.eof:
+            self.buf, self.pos = b"", 0
+            self._more()
+
+
+def _json_rows(source: _Source, empty: Callable[[], np.ndarray]) -> tuple[np.ndarray, int]:
+    """The rows orjson converts from source's chunks into the array empty()
+    gives, one call per chunk, and the number of "\n"-lines they span; source
+    stays at the first chunk refused (or that overflows the array).  A chunk is taken only where that gives float()'s
     doubles: its lines are three fields of bytes "0-9.eE+-", one space apart,
-    each ending in "\n" (a chunk with other blanks, space, tab and "\r" before
-    "\n", is first rewritten so, without its blank lines); they form a JSON array
-    (no empty field, "+1", ".5", "1.", "01" or overflow); and no "-0" token
-    (JSON's int 0) sits in a chunk with a 0."""
+    each ending in "\n" (a "+" that starts a token before a digit is deleted
+    first; a chunk with other blanks, space, tab and "\r" before "\n", is
+    rewritten so, without its blank lines); they form a JSON array (no empty
+    field, "+1", ".5", "1.", "01" or overflow); and no "-0" token (JSON's int
+    0) sits in a chunk with a 0."""
     import orjson  # here, so that a command that reads no cloud never loads it
 
-    out, n = None, 0
-    while pos < len(raw):
-        end = raw.find(b"\n", pos + _JSON_CHUNK_BYTES) + 1 or len(raw)
-        chunk = raw[pos:end] if raw.endswith(b"\n", pos, end) else raw[pos:end] + b"\n"
+    out, n, lines = None, 0, 0
+    for chunk in source.chunks():
+        count = chunk.count(b"\n")
+        chunk = _SIGN.sub(b"", chunk) if b"+" in chunk else chunk
         seps = chunk.translate(None, _NUMBER_BYTES)
         # "\r" is counted on the chunk: with the numbers gone, "1\r2\n" looks like "\r\n".
         if seps != b"  \n" * (len(seps) // 3) and not seps.translate(None, b" \t\r\n") \
                 and chunk.count(b"\r") == chunk.count(b"\r\n"):
-            lines = map(bytes.split, chunk.split(b"\n"))
-            chunk = b"".join(b" ".join(fields) + b"\n" for fields in lines if fields)
+            fields = map(bytes.split, chunk.split(b"\n"))
+            chunk = b"".join(b" ".join(f) + b"\n" for f in fields if f)
             seps = chunk.translate(None, _NUMBER_BYTES)
         if seps != b"  \n" * (len(seps) // 3):
             break
@@ -317,54 +427,73 @@ def _json_rows(raw: bytes, pos: int, size: int) -> tuple[list[np.ndarray], int]:
             break
         if not np.isfinite(block).all() or not block.all() and b",-0," in b",%b," % text:
             break
-        out = np.empty((size, 3)) if out is None else out  # one array, filled in place
+        out = empty() if out is None else out  # one array, filled in place
+        if n + len(block) > len(out):  # more rows than the bound: the file grew
+            break
         out[n:n + len(block)] = block
         n += len(block)
-        pos = end
-    return [out[:n]] if n else [], pos
+        lines += count
+    return (out[:n] if n else np.empty((0, 3))), lines
 
 
-def parse_cloud(data: bytes | str) -> PointCloud:
-    """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame cloud.
-
-    Lines come from the view's bytes alone (_lines).  The leading blank and
-    '#' lines and a PCD header through DATA are read once, line by line.
-    From the first record's line on, _json_rows converts chunks of records
-    with orjson, and from the first chunk it refuses float() reads the rest
-    line by line; both give the same doubles.  Raises ParseError with the
-    line/column of the first malformed record.
-    """
-    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    if isinstance(data, bytes) and not raw.isascii():  # decoded once: this error comes first
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-    stream = io.BytesIO(raw)
-    records = _meaningful_lines(_lines(stream))
+def _records(source: _Source, empty: Callable[[], np.ndarray]) -> np.ndarray:
+    """The points of a view's records: the header read line by line, then
+    _json_rows from the first record's "\n"-line into empty(), then float()
+    line by line from the first chunk it refuses."""
+    records = _meaningful_lines(_lines(source.lines()))
     declared, first = _read_header(records)
-    blocks, head = [], [first] if first else []
+    points, head = np.empty((0, 3)), [first] if first else []
     if first:
-        start = raw.rfind(b"\n", 0, stream.tell() - 1) + 1  # the first record's "\n"-line
-        blocks, pos = _json_rows(raw, start, raw.count(b"\n", start) + 1)
-        if pos > start:  # the per-line loop resumes at pos, counting lines on from the first record
-            stream.seek(pos)
-            line_no = first[0] + raw.count(b"\n", start, pos)
-            head, records = [], _meaningful_lines(_lines(stream), line_no)
+        after, source.pos = source.pos, source.start  # the first record's "\n"-line
+        points, lines = _json_rows(source, empty)
+        if lines:  # the per-line loop resumes at the refused chunk, numbered on from the first record
+            head, records = [], _meaningful_lines(_lines(source.lines()), first[0] + lines)
+        else:  # nothing taken: read on after the first record, where the header reader stopped
+            source.pos = after
     rows = [_parse_xyz_record(line.split(), n) for n, line in itertools.chain(head, records)]
-    if rows or not blocks:
-        blocks.append(np.array(rows, dtype=np.float64).reshape(len(rows), 3))
-    points = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if rows:
+        points = np.concatenate((points, np.array(rows, dtype=np.float64)))
     if declared is not None and declared[0] != len(points):
         raise ParseError(
             f"POINTS declares {declared[0]} records but data has {len(points)}",
             line=declared[1],
         )
-    return PointCloud(points)
+    return points
+
+
+def parse_cloud(data: bytes | str | BinaryIO) -> PointCloud:
+    """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame cloud.
+
+    ``data`` is the view's bytes or text, or a binary file read from its
+    position on, once, a block at a time.  The rows orjson converts go into
+    one array, sized by the line count of bytes or text, and by the size of
+    a file (max_records): only the pages of that array that are written
+    count in RSS.
+    Lines come from the bytes alone (_lines).  The leading blank and '#'
+    lines and a PCD header through DATA are read once, line by line.  From
+    the first record's line on, _json_rows converts chunks of records with
+    orjson, and from the first chunk it refuses float() reads the rest line
+    by line; both give the same doubles.  Raises ParseError with the
+    line/column of the first malformed record, or, before any other, the
+    error of bytes that are not UTF-8, wherever they are.
+    """
+    if isinstance(data, (bytes, str)):
+        raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+        source = _Source(io.BytesIO(raw).read, isinstance(data, bytes))
+        empty = functools.partial(np.empty, (raw.count(b"\n") + 1, 3))
+    else:
+        source = _Source(data.read, True)
+        empty = functools.partial(_unwritten, max_records(os.fstat(data.fileno()).st_size))
+    try:
+        return PointCloud(_records(source, empty))
+    except ParseError:
+        source.drain()  # the UTF-8 error comes first
+        raise
 
 
 def load_cloud(path) -> PointCloud:
-    return parse_cloud(read_bytes(path))
+    with HashingReader(path) as stream:
+        return parse_cloud(stream)
 
 
 def write_cloud_xyz(cloud: PointCloud, stream: IO[str]) -> None:
@@ -380,19 +509,41 @@ def write_cloud_xyz(cloud: PointCloud, stream: IO[str]) -> None:
 def transform_cloud(cloud: PointCloud, pose: ScenePose) -> PointCloud:
     """Apply p' = R p + t to every point and relabel to the global frame."""
     rot_t = pose.rotation_t if len(cloud) > 1 else pose.rotation.T
-    pts = cloud.points @ rot_t + pose.translation
+    pts = cloud.points @ rot_t
+    pts += pose.translation
     return PointCloud(pts, GLOBAL_FRAME)
 
 
-def merge_clouds(clouds: Sequence[PointCloud]) -> PointCloud:
-    """Concatenate clouds that share one frame."""
-    if not clouds:
+def merge_clouds(clouds: Iterable[PointCloud], size: int | None = None) -> PointCloud:
+    """Concatenate clouds that share one frame.
+
+    The clouds are taken one at a time, and none is held once it is copied:
+    a lone cloud is returned as it is; from a second on, all are copied into
+    one array of ``size`` points (their total, for a sequence, if None),
+    grown when they hold more.
+    """
+    if size is None:
+        clouds = list(clouds)
+        size = sum(map(len, clouds))
+    lone, out, n, frames = None, None, 0, set()
+    for cloud in clouds:
+        frames.add(cloud.frame_id)
+        if lone is None and out is None:
+            lone = cloud
+        else:
+            if out is None:  # a second cloud: from here on, one array
+                out, n = _unwritten(max(size, len(lone))), len(lone)
+                out[:n], lone = lone.points, None
+            if n + len(cloud) > len(out):
+                out = np.concatenate((out[:n], np.empty((len(cloud), 3))))
+            out[n:n + len(cloud)] = cloud.points
+            n += len(cloud)
+        del cloud  # not held while the next one is made
+    if not frames:
         raise EmptyCloudError("nothing to merge")
-    frames = {c.frame_id for c in clouds}
     if len(frames) != 1:
         raise FrameMismatchError(f"clouds span multiple frames: {sorted(frames)}")
-    pts = np.vstack([c.points for c in clouds])
-    return PointCloud(pts, clouds[0].frame_id)
+    return lone if out is None else PointCloud(out[:n], frames.pop())
 
 
 def crop_cloud(cloud: PointCloud, roi: Box) -> PointCloud:
@@ -422,20 +573,24 @@ def estimate_object(cloud: PointCloud,
     pts = cloud.points
     if trim_fraction == 0.0:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
-    else:
-        lo, hi = np.percentile(pts, [100 * trim_fraction, 100 * (1 - trim_fraction)], axis=0)
+    else:  # per axis from one column copy, which the partition may reorder
+        q = [100 * trim_fraction, 100 * (1 - trim_fraction)]
+        lo, hi = np.array([np.percentile(pts[:, k].copy(), q, overwrite_input=True)
+                           for k in range(3)]).T
     mask = np.all((pts >= lo) & (pts <= hi), axis=1)
-    retained = pts[mask]
-    if retained.shape[0] == 0:
+    count = int(np.count_nonzero(mask))
+    if count == 0:
         raise EmptyCloudError("no points remain after trimming")
 
     extents = hi - lo
-    centroid = retained.mean(axis=0)
+    # The mean of the retained rows without a copy of them: numpy sums axis 0
+    # of a C-order array row by row, as it does for pts[mask].mean(axis=0).
+    centroid = np.add.reduce(pts, axis=0, where=mask[:, None]) / count
     dominant = AXIS_NAMES[int(np.argmax(extents))]
     return ObjectEstimate(
         centroid=tuple(float(v) for v in centroid),
         extents=tuple(float(v) for v in extents),
-        point_count=int(retained.shape[0]),
+        point_count=count,
         dominant_axis=dominant,
     )
 

@@ -23,7 +23,7 @@ from softgrip import (
     uniform_box_noise,
     write_cloud_xyz,
 )
-from softgrip import geometry
+from softgrip import geometry, perception
 from softgrip.cli import main
 from softgrip.perception import PointCloud, ScenePose
 
@@ -437,6 +437,30 @@ def test_run_manifest_hashes_are_the_input_file_digests(tmp_path):
     recorded = json.loads((out / "run_manifest.json").read_text())["inputs"]
     for path in (manifest, tmp_path / "view0.xyz"):
         assert recorded[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_run_manifest_hashes_every_byte_of_a_view_refused_in_the_middle(tmp_path, monkeypatch):
+    # The view is read once, a block at a time: the orjson tier takes the
+    # blocks before the comment line, the per-line parser the rest, and the
+    # hash still covers the whole file.
+    cloud = make_cylinder(n_points=12_000, seed=5)
+    rows = [f"{x!r} {y!r} {z!r}\n" for x, y, z in cloud.points.tolist()]
+    rows.insert(len(rows) // 2, "# a comment among the records\n")
+    view = tmp_path / "view0.xyz"
+    view.write_text("".join(rows))
+    assert view.stat().st_size > 3 * perception._JSON_CHUNK_BYTES
+    manifest = write_manifest(tmp_path, [{"cloud": "view0.xyz",
+                                          "transform": np.eye(4).ravel().tolist()}])
+    out = tmp_path / "run"
+    calls, per_line = [], perception._parse_xyz_record
+    monkeypatch.setattr(perception, "_parse_xyz_record",
+                        lambda *args: calls.append(args) or per_line(*args))
+    assert run_cli("estimate", "--manifest", manifest, "--trim", 0.0, "--out", out) == 0
+    assert 0 < len(calls) < len(cloud) * 2 // 3  # from the refused chunk on
+    recorded = json.loads((out / "run_manifest.json").read_text())["inputs"]
+    assert recorded[str(view)] == hashlib.sha256(view.read_bytes()).hexdigest()
+    counts = json.loads((out / "estimate.json").read_text())["stage_counts"]
+    assert counts["view_0_parsed"] == len(cloud)
 
 
 def test_run_manifest_hashes_the_run_config(tmp_path):

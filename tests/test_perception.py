@@ -1,5 +1,9 @@
+import hashlib
 import io
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from softgrip import (
     uniform_box_noise,
     write_cloud_xyz,
 )
+import softgrip
 from softgrip import perception
+from softgrip.inputs import HashingReader
 from softgrip.perception import GLOBAL_FRAME
 
 
@@ -151,6 +157,8 @@ def _count_calls(monkeypatch, name):
     CLEAN_PCD.replace(b"\n", b"\r\n"),
     b"# .PCD v0.7\n\nVERSION .7\n# fields\nFIELDS x y z\nPOINTS 2\nDATA ascii\n\n0.1 0.2 0.3\n-1 2e-3 4\n",
     "# view\r\n0.1 0.2 0.3\r\n-1 2e-3 4\r\n",
+    b"# view\n+0.1 +0.2 +0.3\n-1 +2e-3 +4\n",
+    b"# view\n+0.100000 +0.200000 +0.300000\n-1.000000 +0.002000 +4.000000\n",
 ])
 def test_clean_views_never_reach_the_per_line_parser(monkeypatch, data):
     monkeypatch.setattr(perception, "_parse_xyz_record", _fail)
@@ -248,6 +256,80 @@ def test_a_refused_view_is_not_converted_twice(monkeypatch, bad_view):
     assert len(calls) < 49_998 // 2
 
 
+def test_a_view_file_is_parsed_and_hashed_in_one_read(tmp_path, large_views):
+    points, views = large_views
+    path = tmp_path / "view.xyz"
+    path.write_bytes(views["crlf"])
+    with HashingReader(path) as stream:
+        cloud = parse_cloud(stream)
+        assert stream.sha256.hexdigest() == hashlib.sha256(views["crlf"]).hexdigest()
+    assert cloud.points.tobytes() == points.tobytes()
+    assert perception.load_cloud(path).points.tobytes() == points.tobytes()
+
+
+def test_a_file_with_more_rows_than_its_bound_is_still_read_whole(tmp_path, monkeypatch,
+                                                                  large_views):
+    # As if the file grew after its size was taken: the orjson tier stops at
+    # the bound, and the per-line parser reads the rest.
+    points, views = large_views
+    path = tmp_path / "view.xyz"
+    path.write_bytes(views["xyz"])
+    monkeypatch.setattr(perception, "max_records", lambda nbytes: 10_000)
+    calls = _count_calls(monkeypatch, "_parse_xyz_record")
+    assert perception.load_cloud(path).points.tobytes() == points.tobytes()
+    assert len(points) - 10_000 <= len(calls) < len(points)
+
+
+@pytest.mark.parametrize("data", [
+    b"1 2 3\n4 oops 6\n" + b"7 8 9\n" * 30_000 + b"\xff\n",  # after a malformed record
+    b"1 2 3\n" * 30_000 + b"# caf\xc3",  # a character cut by the end of the file
+    b"# caf\xc3\xa9\n" + b"1 2 3\n" * 30_000 + b"\xed\xa0\x80\n",  # an encoded surrogate
+])
+def test_the_utf8_error_of_a_file_names_its_position_in_the_file(tmp_path, data):
+    path = tmp_path / "view.xyz"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    for parse in (lambda: parse_cloud(data), lambda: perception.load_cloud(path)):
+        with pytest.raises(ParseError) as err:
+            parse()
+        assert str(err.value) == f"input is not UTF-8 text: {whole.value}"
+
+
+# A fresh interpreter forks the measured child, so that the child's ru_maxrss
+# is its own: Linux carries the forking process's peak into it at exec.
+PEAK_RSS = """
+import os, sys
+def peak_kib(code):
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.execv(sys.executable, [sys.executable, "-c", code, *sys.argv[1:]])
+        finally:
+            os._exit(127)
+    _, status, usage = os.wait4(pid, 0)
+    assert status == 0, status
+    return usage.ru_maxrss
+read = "import sys; sys.path.insert(0, sys.argv[1]); from softgrip import perception; "
+base = peak_kib(read + "perception.parse_cloud(b'1 2 3')")
+print(peak_kib(read + "perception.load_cloud(sys.argv[2])") - base)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, from the child's own exec")
+def test_reading_a_view_from_its_file_never_holds_the_file(tmp_path, large_views):
+    # The points (24 bytes each, 0.41 times this file) and a few blocks are
+    # all a parse of the file should add to the interpreter's peak; holding
+    # the file's bytes as well takes at least 1.41 times its size.
+    _, views = large_views
+    path = tmp_path / "view.xyz"
+    path.write_bytes(views["xyz"])
+    src = str(Path(softgrip.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, src, str(path)],
+                          capture_output=True, text=True, check=True)
+    assert 1024 * int(proc.stdout) < len(views["xyz"])
+
+
 # ---------------------------------------------------------------------------
 # transform / merge / crop
 # ---------------------------------------------------------------------------
@@ -302,6 +384,21 @@ def test_merge_is_order_free_for_extents():
     ab = estimate_object(merge_clouds([a, b]), trim_fraction=0.0)
     ba = estimate_object(merge_clouds([b, a]), trim_fraction=0.0)
     assert ab.extents == ba.extents
+
+
+def test_merge_takes_an_iterator_of_clouds_into_an_array_of_the_given_size():
+    a, b = make_cylinder(n_points=30, seed=1), make_cylinder(n_points=20, seed=2)
+    want = np.vstack([a.points, b.points])
+    for size in (0, 10, 30, 50, 1000):  # the array grows when the clouds hold more
+        merged = merge_clouds(iter([a, b]), size)
+        assert merged.points.tobytes() == want.tobytes()
+        assert merged.frame_id == a.frame_id
+    assert merge_clouds(iter([a, PointCloud(np.empty((0, 3)), a.frame_id)]), 30).points.tobytes() \
+        == a.points.tobytes()
+    with pytest.raises(EmptyCloudError):
+        merge_clouds(iter([]), 10)
+    with pytest.raises(FrameMismatchError):
+        merge_clouds(iter([a, PointCloud(b.points, "camera")]), 50)
 
 
 def test_merge_rejects_frame_mix():

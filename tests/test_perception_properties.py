@@ -5,11 +5,14 @@ with orjson a chunk at a time, and from the first chunk orjson refuses
 reads the rest with the per-line parser.  Two references: that per-line
 parser alone, reached by making the orjson tier refuse; and a parse of the
 decoded text (str.splitlines) line by line, kept here as the reference for
-the line source.  On every drawn file, at any chunk size, parse_cloud must
-return the same array bit for bit as both, or raise the same ParseError at
-the same line and column.
+the line source and for the UTF-8 error.  On every drawn file, at any chunk
+size, and read from bytes or from a file a block at a time, parse_cloud
+must return the same array bit for bit as both, or raise the same
+ParseError at the same line and column.  estimate_object is checked bit for
+bit against the formulas it replaced.
 """
 
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -20,8 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from softgrip import ParseError, PointCloud, ScenePose, parse_cloud, transform_cloud
+from softgrip import (EmptyCloudError, ParseError, PointCloud, ScenePose, estimate_object,
+                      parse_cloud, transform_cloud)
 from softgrip import perception
+from softgrip.inputs import HashingReader
 
 # Decimal strings whose correct rounding is easy to get wrong.
 HARD_DECIMALS = [
@@ -31,6 +36,9 @@ HARD_DECIMALS = [
     "123456789012345678901234567890e-20", "1e-400", "-1e-400", "-0", "0e0",
     "0." + "3" * 400, "1" * 300, "-0.0", "0", str(-(2**53 + 1)), str(2**63),
     str(2**64), str(-(2**63) - 1), str(10**20), "9" * 400,
+    # Signed tokens: JSON refuses "+1", so the tier deletes a "+" that starts
+    # a token before a digit; "1e+5" keeps its own.
+    "+1.5", "+0", "+0.000000", "1e+5", "+1e+5", "+.5",
 ]
 
 # Tokens the per-line parser rejects, or that numpy might read differently.
@@ -111,7 +119,7 @@ def _outcome(data):
 
 def per_line_outcome(data):
     """parse_cloud with the orjson tier refusing every chunk."""
-    with mock.patch.object(perception, "_json_rows", lambda raw, pos, size: ([], pos)):
+    with mock.patch.object(perception, "_json_rows", lambda source, empty: (np.empty((0, 3)), 0)):
         return _outcome(data)
 
 
@@ -152,6 +160,11 @@ chunk_sizes = st.one_of(st.none(), st.integers(1, 80))
 @example(b"1 2 3\n-0 0 1\n4 5 6\n", 6)
 @example(b"1 2 3\n4 5 6\n\n", 6)
 @example(b"# v\n1 2 3\n4 5 6\n 7 8 9\n1 2 3", 6)
+@example(b"1 2 3\n\n4 5 6\n7 8 oops\n", 8)  # lines counted before the blank one is rewritten away
+@example(b"+1 +-1 2\n", None)
+@example(b"++1 2 3\n", None)
+@example(b"+.5 1e+5 +0\n-0 +1 2\n", None)
+@example(b"1 +2\t+3\r\n+4 5 6\n1 + 2\n", 6)
 def test_fast_parse_matches_per_line_parser(data, chunk_bytes):
     with mock.patch.object(perception, "_JSON_CHUNK_BYTES",
                            chunk_bytes or perception._JSON_CHUNK_BYTES):
@@ -175,6 +188,87 @@ def test_reading_lines_from_bytes_matches_reading_the_decoded_text(data, chunk_b
                            chunk_bytes or perception._JSON_CHUNK_BYTES):
         assert _outcome(data) == decoded
     assert per_line_outcome(data) == decoded
+
+
+@pytest.fixture(scope="module")
+def view_file(tmp_path_factory):
+    """view_file(data): the path of a file that holds data."""
+    path = tmp_path_factory.mktemp("views") / "view.xyz"
+
+    def write(data):
+        path.write_bytes(data)
+        return path
+    return write
+
+
+# Bytes that are not UTF-8: a bad start byte, a cut or bad two- or three-byte
+# character, an encoded surrogate and a code point beyond U+10FFFF.
+NOT_UTF8 = [b"\xff", b"\xc3", b"\xc3(", b"\xe2\x82", b"\xe2\x82(", b"\xed\xa0\x80",
+            b"\xf4\x90\x80\x80"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud_files(), st.one_of(st.integers(1, 80), st.integers(1, perception._JSON_CHUNK_BYTES)),
+       st.one_of(st.none(), st.tuples(st.integers(0, 1000), st.sampled_from(NOT_UTF8))))
+@example(b"1 2 3\n4 oops 6\n7 8 9\n", 1, (22, b"\xff"))  # after a malformed record
+@example(b"1 2 3\n4 5 6\n", 7, (12, b"\xe2\x82"))  # cut by the end of the file
+@example("# caf\u00e9\n1 2 3\n4 5 6\n", 6, None)  # a character cut by a block
+def test_a_view_read_from_its_file_parses_as_its_bytes(view_file, data, block, bad):
+    # The file is read in blocks of the drawn size; the reference is the
+    # decoded text, parsed line by line.  Every byte is hashed, unless the
+    # view is not UTF-8.
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    if bad is not None:
+        at = bad[0] % (len(raw) + 1)
+        raw = raw[:at] + bad[1] + raw[at:]
+    want = decoded_text_outcome(raw)
+    with mock.patch.object(perception, "_JSON_CHUNK_BYTES", block), \
+            HashingReader(view_file(raw)) as stream:
+        assert _outcome(stream) == want
+        if not (want[0] == "error" and want[1].startswith("input is not UTF-8")):
+            assert stream.sha256.hexdigest() == hashlib.sha256(raw).hexdigest()
+    assert _outcome(raw) == want
+
+
+def estimate_by_the_old_formulas(points, trim):
+    """(centroid, extents, count) from np.percentile over the whole array and
+    the mean of a boolean-indexed copy, or None if no point is retained."""
+    if trim == 0.0:
+        lo, hi = points.min(axis=0), points.max(axis=0)
+    else:
+        lo, hi = np.percentile(points, [100 * trim, 100 * (1 - trim)], axis=0)
+    retained = points[np.all((points >= lo) & (points <= hi), axis=1)]
+    if not len(retained):
+        return None
+    return retained.mean(axis=0).tobytes(), (hi - lo).tobytes(), len(retained)
+
+
+def estimate_now(points, trim):
+    try:
+        est = estimate_object(PointCloud(points), trim)
+    except EmptyCloudError:
+        return None
+    return (np.array(est.centroid).tobytes(), np.array(est.extents).tobytes(), est.point_count)
+
+
+coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 300), st.just(3)), elements=coordinates),
+       st.one_of(st.just(0.0), st.sampled_from([0.002, 0.01, 0.25]), st.floats(0.0, 0.25)))
+@example(np.full((4, 3), -0.0), 0.0)
+@example(np.full((4, 3), -0.0), 0.01)
+def test_estimate_gives_the_bits_of_the_old_formulas(points, trim):
+    assert estimate_now(points, trim) == estimate_by_the_old_formulas(points, trim)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 1000, 270_000])
+def test_estimate_gives_the_bits_of_the_old_formulas_on_large_clouds(n):
+    rng = np.random.default_rng(n)
+    points = rng.normal(size=(n, 3)) * [0.04, 0.04, 0.06] + [0.3, 0.0, 0.06]
+    for trim in (0.0, 0.002, 0.01, 0.25, float(rng.uniform(0, 0.25))):
+        assert estimate_now(points, trim) == estimate_by_the_old_formulas(points, trim)
 
 
 @pytest.mark.parametrize("text", HARD_DECIMALS)

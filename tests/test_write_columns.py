@@ -19,6 +19,7 @@ from unittest import mock
 
 import numpy as np
 import orjson
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,34 @@ ROWS = CSV_CHUNK_ROWS + 1
 def test_write_columns_matches_the_per_row_repr_join(table):
     chunk, cells, columns = table
     assert written("h", columns, chunk, cells) == reference("h", columns)
+
+
+LABEL_CUTS = [
+    [2],  # inside the first chunk
+    [4],  # exactly at the first chunk edge
+    [3, 4, 5],  # just before, at and after it
+    list(range(1, 12)),  # at every row
+]
+
+
+@pytest.mark.parametrize("cells", [0, ORJSON_MIN_CELLS])  # the orjson path, the repr path
+@pytest.mark.parametrize("cuts", LABEL_CUTS)
+def test_labels_that_change_inside_a_chunk_and_at_its_edge(monkeypatch, cells, cuts):
+    # 12 rows in chunks of 4; the phase column changes at the given rows.
+    # On the orjson path every chunk is written as one text per label run.
+    runs = []
+    labelled_text = geometry._labelled_text
+    monkeypatch.setattr(geometry, "_labelled_text",
+                        lambda block, labels, dumps: runs.append(len(block))
+                        or labelled_text(block, labels, dumps))
+    phase = np.array(["approach"] * 12, dtype=object)
+    for k, cut in enumerate(cuts):
+        phase[cut:] = ("sliding", "closed", "é")[k % 3]
+    columns = [np.linspace(-0.8, -1.9, 12), np.linspace(1e-4, 1e15, 12), phase]
+    assert written("a,b,phase", columns, 4, cells) == reference("a,b,phase", columns)
+    assert runs == ([4, 4, 4] if cells == 0 else [])
+    two = [*columns, phase[::-1].copy()]  # two label columns, with changes of their own
+    assert written("a,b,p,q", two, 4, cells) == reference("a,b,p,q", two)
 
 
 def test_write_columns_keeps_zero_signs_within_a_run():

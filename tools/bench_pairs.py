@@ -12,14 +12,16 @@ unchanged ``bench/run.py --workload W --seed S --seconds T --trace 0`` of
 both trees, one after the other, the order swapped every pair so that
 drift of the host's speed hits both alike.  BENCH_<slug>.json gets, per end-to-end metric, both sides' values,
 medians and quartiles and the number of pairs the change won, plus each
-side's error rate, ``src/`` line count, the Python and numpy versions and
-whether PYTHONDONTWRITEBYTECODE was set.
+side's error rate, ``src/`` line count and ``src/softgrip/*.py`` sha256
+(src_digest), the Python and numpy versions and whether
+PYTHONDONTWRITEBYTECODE was set.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import statistics
@@ -49,6 +51,18 @@ def worktree(base: str, path: Path = WORKTREE):
         yield path
     finally:
         git("worktree", "remove", "--force", str(path))
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 over tree's src/softgrip/*.py, each file's name, size and bytes
+    in name order: equal for equal sources, however they were checked out
+    (a side's ``commit`` reads its checkout's HEAD, which for the change is
+    the parent, or ``unknown``)."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "softgrip").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(b"%s\0%d\0%s" % (path.name.encode(), len(data), data))
+    return digest.hexdigest()
 
 
 def bench(tree: Path, args) -> tuple[dict, dict]:
@@ -105,6 +119,7 @@ def main(argv=None) -> int:
     direction = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = {"parent": ([], []), "change": ([], [])}
     with worktree(args.base) as parent:
+        digests = {"parent": src_digest(parent), "change": src_digest(ROOT)}
         for i in range(args.pairs):
             order = [("parent", parent), ("change", ROOT)]
             for name, tree in order if i % 2 == 0 else order[::-1]:
@@ -133,8 +148,9 @@ def main(argv=None) -> int:
         "numpy": meta["numpy"],
         "nproc": meta["nproc"],
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "parent": {"base": args.base, **side(*runs["parent"])},
-        "change": {"base": "working tree", **side(*runs["change"])},
+        "parent": {"base": args.base, **side(*runs["parent"]), "src_sha256": digests["parent"]},
+        "change": {"base": "working tree", **side(*runs["change"]),
+                   "src_sha256": digests["change"]},
         "metrics": metrics,
     }
     out = ROOT / f"BENCH_{args.slug}.json"

@@ -16,9 +16,12 @@ the view's chunks up to the one that holds that record, and from that
 chunk on the per-line parser reads the rest up to that record.  The
 "\\r\\n", tab "\\r\\n" and two-space views are rewritten to single
 spaces a chunk at a time and read by orjson too; so is the view whose
-"# café" header line is UTF-8 but not ASCII.  The "%+.6f" view's "+0.1"
-is not JSON, so the per-line parser reads it whole.  Every case runs
-``softgrip estimate --roi`` (the box keeps the cylinder) in a fresh
+"# café" header line is UTF-8 but not ASCII, and the PCD view, whose
+header is read line by line first.  The "%+.6f" view's "+0.1" is not
+JSON; orjson reads it once each "+" before a digit is deleted.  The "bad
+utf-8" view has a malformed record early and a byte that is not UTF-8
+near its end: the UTF-8 error is reported, as it comes before any other.
+Every case runs ``softgrip estimate --roi`` (the box keeps the cylinder) in a fresh
 interpreter with ``src`` on PYTHONPATH, for the working tree and for
 --base (checked out with ``git worktree`` under .bench_work/, or a
 checkout's directory used as it is), the two sides alternated and their
@@ -28,7 +31,7 @@ generated, because Linux carries the spawning process's peak RSS into a
 child's ``ru_maxrss`` at exec.
 Printed per case and side: the median wall time of the child and the
 median of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Both sides must
-write the same estimate.json, or for the malformed case exit 2 with the
+write the same estimate.json, or for the malformed cases exit 2 with the
 same stderr.  The worktree and the scenes are removed at the end.
 """
 
@@ -52,16 +55,23 @@ from softgrip import make_cylinder, uniform_box_noise  # noqa: E402
 SIZES = (10_000, 200_000, 1_000_000)
 VIEWS = (1, 3)
 BAD_RECORD = "0.0 0.0x1 0.0\n"  # written in place of a malformed view's last-but-two record
-# The record format and header line of each kind of scene.
+BAD_UTF8 = b"0.0 0.0 0.0 \xff\n"  # not UTF-8: the "bad utf-8" view's last-but-two record
+PCD_HEADER = ("# view {k} of {views}, seed {seed}\nVERSION .7\nFIELDS x y z\nSIZE 8 8 8\n"
+              "TYPE F F F\nCOUNT 1 1 1\nWIDTH {n}\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
+              "POINTS {n}\nDATA ascii\n")
+# The record format and header of each kind of scene.
 RECORDS = {
-    "": ("{!r} {!r} {!r}\n", "# view"),
-    "bad record": ("{!r} {!r} {!r}\n", "# view"),
-    "tab crlf": ("{!r}\t{!r}\t{!r}\r\n", "# view"),
-    "crlf": ("{!r} {!r} {!r}\r\n", "# view"),
-    "two spaces": ("{!r}  {!r}  {!r}\n", "# view"),
-    "%+.6f": ("{:+.6f} {:+.6f} {:+.6f}\n", "# view"),
-    "# caf\u00e9": ("{!r} {!r} {!r}\n", "# caf\u00e9 view"),
+    "": ("{!r} {!r} {!r}\n", "# view {k} of {views}, seed {seed}\n"),
+    "bad record": ("{!r} {!r} {!r}\n", "# view {k} of {views}, seed {seed}\n"),
+    "tab crlf": ("{!r}\t{!r}\t{!r}\r\n", "# view {k} of {views}, seed {seed}\r\n"),
+    "crlf": ("{!r} {!r} {!r}\r\n", "# view {k} of {views}, seed {seed}\r\n"),
+    "two spaces": ("{!r}  {!r}  {!r}\n", "# view {k} of {views}, seed {seed}\n"),
+    "%+.6f": ("{:+.6f} {:+.6f} {:+.6f}\n", "# view {k} of {views}, seed {seed}\n"),
+    "# caf\u00e9": ("{!r} {!r} {!r}\n", "# caf\u00e9 view {k} of {views}, seed {seed}\n"),
+    "bad utf-8": ("{!r} {!r} {!r}\n", "# view {k} of {views}, seed {seed}\n"),
+    "pcd": ("{!r} {!r} {!r}\n", PCD_HEADER),
 }
+FAILING = ("bad record", "bad utf-8")  # kinds whose estimate exits 2
 ROI = (-0.06, -0.06, -0.01, 0.06, 0.06, 0.13)
 # The first argument is the src directory to import softgrip from.
 CLI_CODE = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
@@ -80,11 +90,12 @@ def _pose(k: int) -> np.ndarray:
 
 def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
                 kind: str = "") -> Path:
-    """A scene of n_points in total over n_views XYZ files, whose records and
-    header line ``kind`` picks from RECORDS, the last one ending in BAD_RECORD
-    and two good records if ``kind`` is "bad record"; returns its manifest."""
+    """A scene of n_points in total over n_views XYZ or PCD files, whose
+    records and header ``kind`` picks from RECORDS; returns its manifest.
+    The last view of a "bad record" scene ends in BAD_RECORD and two good
+    records; that of a "bad utf-8" scene has BAD_RECORD as its third record
+    and BAD_UTF8 as its last-but-two."""
     record, header = RECORDS[kind]
-    end = "\r\n" if record.endswith("\r\n") else "\n"
     n_noise = n_points // 10
     cylinder = make_cylinder(n_points=n_points - n_noise, seed=seed, center=(0.0, 0.0, 0.06))
     noise = uniform_box_noise(n_noise, side_m=0.1, seed=seed + 1, center=(0.3, 0.0, 0.06))
@@ -94,11 +105,13 @@ def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
     for k, part in enumerate(np.array_split(points, n_views)):
         pose = _pose(k)
         camera = (part - pose[:3, 3]) @ pose[:3, :3]  # global to camera: R^T (p - t)
-        with open(folder / f"view_{k}.xyz", "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"{header} {k} of {n_views}, seed {seed}{end}")
-            rows = [record.format(*point) for point in camera.tolist()]
-            if kind == "bad record" and k == n_views - 1:
-                rows[-3] = BAD_RECORD
+        rows = [record.format(*point).encode() for point in camera.tolist()]
+        if kind == "bad record" and k == n_views - 1:
+            rows[-3] = BAD_RECORD.encode()
+        if kind == "bad utf-8" and k == n_views - 1:
+            rows[2], rows[-3] = BAD_RECORD.encode(), BAD_UTF8
+        with open(folder / f"view_{k}.xyz", "wb") as fh:
+            fh.write(header.format(k=k, views=n_views, seed=seed, n=len(rows)).encode())
             fh.writelines(rows)
         views.append({"cloud": f"view_{k}.xyz", "transform": pose.ravel().tolist()})
     manifest = folder / "manifest.json"
@@ -143,7 +156,7 @@ def main(argv=None) -> int:
                 for name, tree in order if i % 2 == 0 else order[::-1]:
                     runs[name].append(run_estimate(launcher, tree, manifest,
                                                    Path(tmp) / name,
-                                                   2 if kind == "bad record" else 0))
+                                                   2 if kind in FAILING else 0))
             same = len({output for side in runs.values() for *_, output in side}) == 1
             rows.append((case, runs, same))
             print(f"{case}: done", file=sys.stderr)
