@@ -24,7 +24,8 @@ from typing import IO, Callable, Optional
 
 from . import geometry as geometry_mod
 from .capacity import default_capacity_model, load_capacity_model
-from .errors import ConfigError, EmptyCloudError, NoContactError, ParseError, SoftgripError
+from .errors import (ConfigError, EmptyCloudError, NoContactError, ParseError, ResourceError,
+                     SoftgripError)
 from .geometry import GripperGeometry, default_geometry
 from .inputs import HashingReader, decode_json, from_dict
 from .perception import (
@@ -36,9 +37,9 @@ from .perception import (
     crop_cloud,
     decide_approach,
     estimate_object,
+    expected_records,
     is_small_height,
     load_scene_manifest,
-    max_records,
     merge_clouds,
     parse_cloud,
     transform_cloud,
@@ -203,6 +204,7 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> No
     # view by view into one array.  Cropping keeps order point by point, so
     # this is the crop of the merged views.
     paths = [manifest_path.parent / cloud_rel for cloud_rel, _ in views]
+    sizes = [_size(path) for path in paths]
     stage_counts: dict[str, int] = {}
 
     def kept(i: int, cloud_path: Path, pose) -> PointCloud:
@@ -217,8 +219,10 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> No
         return cloud if roi is None else crop_cloud(cloud, roi)
 
     # A generator of calls, so that no view is held once merge_clouds has it.
+    # Its array is mapped at the second view: the points kept from the first
+    # two, and room for the other views' bytes at their points per byte.
     each = (kept(i, path, pose) for i, (path, (_, pose)) in enumerate(zip(paths, views)))
-    merged = merge_clouds(each, sum(max_records(_size(path)) for path in paths))
+    merged = merge_clouds(each, lambda n: expected_records(sum(sizes), n, sum(sizes[:2])))
     total = sum(stage_counts.values())
     stage_counts["merged"] = total
     print(f"estimate: merged {total} points from {len(views)} view(s)")
@@ -402,6 +406,10 @@ def main(argv=None) -> int:
         except SoftgripError as exc:
             print(f"softgrip: {exc}", file=sys.stderr)
             return exc.exit_code
+        except MemoryError as exc:  # numpy's, or a mapping's (perception._unwritten)
+            error = ResourceError("out of memory" + (f": {exc}" if str(exc) else ""))
+            print(f"softgrip: {error}", file=sys.stderr)
+            return error.exit_code
         except KeyboardInterrupt:
             print("softgrip: interrupted", file=sys.stderr)
             return 130

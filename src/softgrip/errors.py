@@ -2,14 +2,15 @@
 
 Each class carries the command-line exit code it maps to, the one place that
 code is known: 2 configuration or parse error, 3 kinematic domain error,
-4 empty result, 5 infeasible grasp, 6 no contact under --require-contact.
+4 empty result, 5 infeasible grasp, 6 no contact under --require-contact,
+7 memory the system refused.
 """
 
 __all__ = [
     "ConfigError", "DomainError", "EmptyCloudError", "FrameMismatchError",
     "InsufficientDataError", "InvalidPoseError", "InvalidRangeError",
     "InvariantViolationError", "MissingCapacityDataError", "NoContactError",
-    "ObjectTooLargeError", "OutOfRangeError", "ParseError",
+    "ObjectTooLargeError", "OutOfRangeError", "ParseError", "ResourceError",
     "SoftgripError", "SurfaceConflictError",
 ]
 
@@ -100,6 +101,14 @@ class NoContactError(SoftgripError):
     """A sliding run that must make contact never touched the surface."""
 
     exit_code = 6
+
+
+class ResourceError(SoftgripError):
+    """The system refused memory the run needs (an address-space limit, or
+    more than the host can commit); the command line reports any
+    MemoryError as this error."""
+
+    exit_code = 7
 
 
 class InsufficientDataError(SoftgripError):

@@ -40,9 +40,10 @@ from .inputs import from_dict, read_package_json
 __all__ = [
     "DEFAULT_STEP", "FingerState", "GripperGeometry", "MotorTrajectory",
     "OperatingRangeWarning", "Trace", "aperture", "aperture_window", "base_length",
-    "default_geometry", "fingertip_angle", "fingertip_jacobian", "fingertip_positions",
-    "fk_trace", "forward_kinematics", "inverse_kinematics", "sample_trajectory",
-    "slider_coordinate", "slider_displacement", "write_columns", "write_fk_trace_csv",
+    "default_geometry", "fingertip_angle", "fingertip_height", "fingertip_jacobian",
+    "fingertip_positions", "fk_trace", "forward_kinematics", "inverse_kinematics",
+    "sample_trajectory", "slider_coordinate", "slider_displacement", "tip_height",
+    "write_columns", "write_fk_trace_csv",
 ]
 
 DEFAULT_STEP = 0.015  # rad, the standard actuation increment
@@ -60,7 +61,7 @@ MAX_TRAJECTORY_SAMPLES = 10_000_000
 MAX_LENGTH_MM = math.sqrt(sys.float_info.max) / 4
 
 # Rows write_columns formats and writes per stream.write call.
-CSV_CHUNK_ROWS = 4096
+CSV_CHUNK_ROWS = 1024
 
 # Fewest cells of a table for which write_columns formats floats with orjson.
 # Importing orjson after numpy takes ~8 ms, and it saves ~0.5 us per cell
@@ -287,10 +288,15 @@ def fingertip_positions(
     """Fingertip coordinates (x_left, x_right, y_tip) in the center frame.
 
     x_left = l*cos(alpha) - delta_x and x_right is its exact mirror; both
-    tips sit at y_tip = l*sin(alpha) + delta_y.
+    tips sit at fingertip_height.
     """
     reach = geom.l * np.cos(alpha)
-    return reach - geom.delta_x, geom.delta_x - reach, geom.l * np.sin(alpha) + geom.delta_y
+    return reach - geom.delta_x, geom.delta_x - reach, fingertip_height(geom, alpha)
+
+
+def fingertip_height(geom: GripperGeometry, alpha: FloatOrArray) -> FloatOrArray:
+    """Fingertip y coordinate y_tip = l*sin(alpha) + delta_y, shared by both tips."""
+    return geom.l * np.sin(alpha) + geom.delta_y
 
 
 def forward_kinematics(geom: GripperGeometry, theta: FloatOrArray) -> FingerState:
@@ -300,6 +306,16 @@ def forward_kinematics(geom: GripperGeometry, theta: FloatOrArray) -> FingerStat
     b = base_length(geom, delta)
     alpha = fingertip_angle(geom, delta, b)
     return FingerState(theta, y_b, delta, b, alpha, *fingertip_positions(geom, alpha))
+
+
+def tip_height(geom: GripperGeometry, theta: FloatOrArray) -> FloatOrArray:
+    """Fingertip height y_tip at a motor angle or an array of them: the chain
+    of forward_kinematics, bit for bit, keeping no other column, so each
+    intermediate is freed once the next link has used it."""
+    delta = slider_displacement(geom, theta)
+    alpha = fingertip_angle(geom, delta, base_length(geom, delta))
+    del delta
+    return fingertip_height(geom, alpha)
 
 
 def aperture(geom: GripperGeometry, theta: FloatOrArray) -> FloatOrArray:

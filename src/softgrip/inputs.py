@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import stat
@@ -31,6 +30,8 @@ class HashingReader:
     """
 
     def __init__(self, path):
+        import hashlib  # here: it loads OpenSSL (~3.5 MB), which a run reading no file never needs
+
         self.path = path
         self.sha256 = hashlib.sha256()
         try:  # without O_NONBLOCK a FIFO with no writer blocks in open

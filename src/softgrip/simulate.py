@@ -27,6 +27,7 @@ from .geometry import (
     Trace,
     forward_kinematics,
     sample_trajectory,
+    tip_height,
     write_columns,
 )
 
@@ -198,7 +199,7 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
 
     trajectory = sample_trajectory(geom, cfg.theta_from, cfg.theta_to, cfg.step)
     theta = trajectory.samples
-    y_free = forward_kinematics(geom, theta).y_tip
+    y_free = tip_height(geom, theta)
     # The last sample is theta_to exactly, so its tip height is the default surface.
     surface = cfg.surface_y_mm if cfg.surface_y_mm is not None else float(y_free[-1])
     y_sim = np.minimum(y_free, surface)
@@ -210,10 +211,13 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
     released = np.flatnonzero(contacted & ~touching)
     closure = int(released[0]) if len(released) else len(theta) - 1
 
-    running_max = np.maximum.accumulate(bend)
-    running_max[closure:] = running_max[closure]
-    flex = cfg.flex_offset + cfg.flex_gain * running_max
-    phase = touching.astype(np.intp)
+    # The running maximum of the bend, made the flex signal in place: x * gain
+    # + offset has the bits of offset + gain * x.
+    flex = np.maximum.accumulate(bend)
+    flex[closure:] = flex[closure]
+    flex *= cfg.flex_gain
+    flex += cfg.flex_offset
+    phase = touching.astype(np.int8)
     phase[closure:] = PHASES.index(PHASE_CLOSED)
 
     return SlideTrace(

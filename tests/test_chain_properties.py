@@ -15,6 +15,7 @@ from softgrip import (
     forward_kinematics,
     inverse_kinematics,
     simulate_slide,
+    tip_height,
 )
 
 GEOM = default_geometry()
@@ -70,6 +71,25 @@ def test_ik_reproduces_the_target_aperture(geom, fraction):
     theta = inverse_kinematics(geom, target)
     assert geom.theta_closed <= theta <= geom.theta_open
     assert abs(aperture(geom, theta) - target) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.just(GEOM), geometries()), st.data())
+def test_tip_height_is_the_chain_y_tip_bitwise(geom, data):
+    thetas = data.draw(arrays(np.float64, st.integers(1, 64),
+                              elements=st.floats(geom.slide_floor, geom.theta_open)))
+    assert tip_height(geom, thetas).tobytes() == forward_kinematics(geom, thetas).y_tip.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(395.0, 445.0), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_slide_flex_is_offset_plus_gain_times_the_held_running_maximum(surface, gain, offset):
+    trace = simulate_slide(GEOM, SlideConfig(surface_y_mm=surface, step=0.01,
+                                             flex_gain=gain, flex_offset=offset))
+    closure = list(trace.columns.phase).index("closed")
+    held = np.maximum.accumulate(trace.columns.bend)
+    held[closure:] = held[closure]
+    assert trace.columns.flex.tobytes() == (offset + gain * held).tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -72,7 +72,7 @@ def traces():
             (write_slide_trace_csv, slide, text_of(write_slide_trace_csv, slide))]
 
 
-@pytest.mark.parametrize("chunk", [7, 64, geometry.CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("chunk", [7, 64, 4096, geometry.CSV_CHUNK_ROWS])
 def test_traces_on_two_cpus_match_the_in_process_text(traces, cpus, chunks, split, chunk):
     cpus(2)
     split(500, chunk)
@@ -117,7 +117,8 @@ def test_one_cpu_starts_no_worker(traces, cpus, chunks, split):
     split(500)
     for writer, data, want in traces:
         assert text_of(writer, data) == want
-    assert chunks == [True] * len(traces)
+    assert chunks == [True] * sum(math.ceil(len(data) / geometry.CSV_CHUNK_ROWS)
+                                  for _, data, _ in traces)
 
 
 def test_a_small_trace_never_starts_a_worker(geom, cpus, chunks):

@@ -20,6 +20,7 @@ EXPECTED_EXIT_CODES = {
     errors.ObjectTooLargeError: 5,
     errors.SurfaceConflictError: 5,
     errors.NoContactError: 6,
+    errors.ResourceError: 7,
 }
 
 
@@ -37,3 +38,13 @@ def test_cli_exits_with_the_error_exit_code(cls, monkeypatch, tmp_path, capsys):
     # The parser binds the command function when it is built, so patch first.
     assert main(["fk", "--theta", "-0.8", "--out", str(tmp_path / "run")]) == cls.exit_code
     assert "softgrip: boom" in capsys.readouterr().err
+
+
+def test_memory_the_system_refuses_exits_7_with_one_line(monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise MemoryError("cannot map 10 points: Cannot allocate memory")
+
+    monkeypatch.setattr("softgrip.cli.cmd_fk", fail)
+    assert main(["fk", "--theta", "-0.8", "--out", str(tmp_path / "run")]) == 7
+    assert capsys.readouterr().err == \
+        "softgrip: out of memory: cannot map 10 points: Cannot allocate memory\n"

@@ -280,6 +280,35 @@ def test_a_file_with_more_rows_than_its_bound_is_still_read_whole(tmp_path, monk
     assert len(points) - 10_000 <= len(calls) < len(points)
 
 
+def test_a_file_whose_records_shorten_is_mapped_again_and_read_by_orjson(tmp_path, monkeypatch):
+    # The first chunk's 60-byte records set the array to a tenth of the rows
+    # that follow; it is mapped again, larger, each time it fills.
+    long = np.random.default_rng(12).normal(size=(3_000, 3))
+    data = "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in long.tolist()).encode() \
+        + b"1 2 3\n" * 100_000
+    path = tmp_path / "view.xyz"
+    path.write_bytes(data)
+    want = np.vstack([long, np.tile([1.0, 2.0, 3.0], (100_000, 1))])
+    records = _count_calls(monkeypatch, "_parse_xyz_record")
+    mapped = _count_calls(monkeypatch, "_unwritten")
+    assert perception.load_cloud(path).points.tobytes() == want.tobytes()
+    assert not records
+    rows = [args[0] for args in mapped]
+    assert len(rows) > 2 and rows == sorted(rows) and rows[-1] <= perception.max_records(len(data))
+    assert parse_cloud(data).points.tobytes() == want.tobytes()
+
+
+def test_a_mapping_the_system_refuses_is_a_memory_error(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    path = tmp_path / "view.xyz"
+    path.write_bytes(b"1 2 3\n" * 10)
+    monkeypatch.setattr(perception.mmap, "mmap", refuse)
+    with pytest.raises(MemoryError, match="cannot map 10 points: Cannot allocate memory"):
+        perception.load_cloud(path)
+
+
 @pytest.mark.parametrize("data", [
     b"1 2 3\n4 oops 6\n" + b"7 8 9\n" * 30_000 + b"\xff\n",  # after a malformed record
     b"1 2 3\n" * 30_000 + b"# caf\xc3",  # a character cut by the end of the file
@@ -399,6 +428,22 @@ def test_merge_takes_an_iterator_of_clouds_into_an_array_of_the_given_size():
         merge_clouds(iter([]), 10)
     with pytest.raises(FrameMismatchError):
         merge_clouds(iter([a, PointCloud(b.points, "camera")]), 50)
+
+
+def test_merge_sizes_its_array_from_the_first_two_clouds_and_doubles_it():
+    clouds = [make_cylinder(n_points=n, seed=n) for n in (30, 20, 40, 100)]
+    seen, mapped = [], []
+    unwritten = perception._unwritten
+
+    def mapping(rows, head=None):
+        mapped.append(rows)
+        return unwritten(rows, head)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perception, "_unwritten", mapping)
+        out = merge_clouds(iter(clouds), lambda n: seen.append(n) or n + 10)
+    assert out.points.tobytes() == np.vstack([c.points for c in clouds]).tobytes()
+    assert seen == [50] and mapped == [60, 120, 240]
 
 
 def test_merge_rejects_frame_mix():

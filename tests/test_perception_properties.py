@@ -263,6 +263,18 @@ def test_estimate_gives_the_bits_of_the_old_formulas(points, trim):
     assert estimate_now(points, trim) == estimate_by_the_old_formulas(points, trim)
 
 
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 400), elements=coordinates),
+       st.one_of(st.sampled_from([0.0, 0.002, 0.01, 0.25, 0.5]), st.floats(0.0, 0.5)))
+@example(np.array([0.0, -0.0, -0.0, 0.0, 0.0]), 0.25)
+@example(np.array([-0.0]), 0.01)
+def test_percentiles_give_the_bits_of_np_percentile(column, trim):
+    q = [100 * trim, 100 * (1 - trim)]
+    want = np.percentile(column.copy(), q, overwrite_input=True)
+    assert perception.percentiles(column.copy(), q).tobytes() == want.tobytes()
+    assert np.percentile(column, q).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 1000, 270_000])
 def test_estimate_gives_the_bits_of_the_old_formulas_on_large_clouds(n):
     rng = np.random.default_rng(n)
