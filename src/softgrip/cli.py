@@ -37,7 +37,6 @@ from .perception import (
     crop_cloud,
     decide_approach,
     estimate_object,
-    expected_records,
     is_small_height,
     load_scene_manifest,
     merge_clouds,
@@ -186,14 +185,6 @@ def _box(flag: str) -> Box:
     return from_dict(Box, {"min_corner": values[:3], "max_corner": values[3:]}, "--roi")
 
 
-def _size(path) -> int:
-    """The size of a file, or 0 if it cannot be read: reading it raises the error."""
-    try:
-        return os.stat(path).st_size
-    except (OSError, ValueError):
-        return 0
-
-
 def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
     roi = _box(args.roi) if args.roi else cfg.roi
     manifest_path = Path(args.manifest)
@@ -203,8 +194,6 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> No
     # soon as it is in the global frame; merge_clouds takes the kept points
     # view by view into one array.  Cropping keeps order point by point, so
     # this is the crop of the merged views.
-    paths = [manifest_path.parent / cloud_rel for cloud_rel, _ in views]
-    sizes = [_size(path) for path in paths]
     stage_counts: dict[str, int] = {}
 
     def kept(i: int, cloud_path: Path, pose) -> PointCloud:
@@ -219,10 +208,9 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> No
         return cloud if roi is None else crop_cloud(cloud, roi)
 
     # A generator of calls, so that no view is held once merge_clouds has it.
-    # Its array is mapped at the second view: the points kept from the first
-    # two, and room for the other views' bytes at their points per byte.
-    each = (kept(i, path, pose) for i, (path, (_, pose)) in enumerate(zip(paths, views)))
-    merged = merge_clouds(each, lambda n: expected_records(sum(sizes), n, sum(sizes[:2])))
+    each = (kept(i, manifest_path.parent / cloud_rel, pose)
+            for i, (cloud_rel, pose) in enumerate(views))
+    merged = merge_clouds(each)
     total = sum(stage_counts.values())
     stage_counts["merged"] = total
     print(f"estimate: merged {total} points from {len(views)} view(s)")
@@ -406,7 +394,7 @@ def main(argv=None) -> int:
         except SoftgripError as exc:
             print(f"softgrip: {exc}", file=sys.stderr)
             return exc.exit_code
-        except MemoryError as exc:  # numpy's, or a mapping's (perception._unwritten)
+        except MemoryError as exc:  # numpy's, or a mapping's (perception._Rows)
             error = ResourceError("out of memory" + (f": {exc}" if str(exc) else ""))
             print(f"softgrip: {error}", file=sys.stderr)
             return error.exit_code

@@ -53,9 +53,6 @@ class HashingReader:
         self.sha256.update(data)
         return data
 
-    def fileno(self) -> int:
-        return self._file.fileno()
-
     def __enter__(self) -> "HashingReader":
         return self
 

@@ -15,7 +15,6 @@ import io
 import itertools
 import math
 import mmap
-import os
 import re
 from dataclasses import asdict, dataclass, field
 from typing import IO, BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -291,36 +290,59 @@ _NUMBER_BYTES = b"0123456789.eE+-"
 _SIGN = re.compile(rb"\+(?<![^ \t\n]\+)(?=[0-9])")  # a "+" that starts a token, before a digit
 
 
-def max_records(nbytes: int) -> int:
-    """An upper bound on the records in nbytes of cloud text: each takes at
-    least 6 bytes ("1 2 3\n"), the last perhaps 5."""
-    return nbytes // 6 + 1
+class _Rows:
+    """An (n, 3) float64 array that rows are appended to, in one anonymous
+    mapping of its own: its pages count in RSS only once written (numpy
+    would ask for huge pages for 4 MB or more, so RSS would grow 2 MB at a
+    time), and the whole mapping goes back to the system when the array is
+    freed, whatever its size.  A growth doubles the mapping in place
+    (mmap.resize, Linux's mremap), which copies no row; without mremap
+    (resize raises SystemError) the rows are mapped anew and copied.  A
+    mapping the system refuses (an address-space limit) raises MemoryError.
+    resize refuses a mapping that a view holds, so no view outlives a call."""
 
+    def __init__(self):
+        self._map, self._n = None, 0
 
-def expected_records(nbytes: int, rows: int, span: int) -> int:
-    """Rows to map for the records in nbytes of cloud text whose first span
-    bytes held ``rows``: those, and the rest at their density and a quarter
-    more; at most max_records(nbytes), which ``rows`` passes only if a file
-    grew after its size was taken."""
-    rest = math.ceil(1.25 * rows * max(nbytes - span, 0) / max(span, 1))
-    return min(max_records(nbytes), rows + rest)
+    def __len__(self) -> int:
+        return self._n
 
+    def _grow(self, rows: int) -> None:
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        try:
+            if self._map is None:
+                self._map = mmap.mmap(-1, 24 * rows, flags=flags)
+                return
+            try:
+                self._map.resize(24 * rows)
+            except SystemError:  # no mremap on this platform
+                new = mmap.mmap(-1, 24 * rows, flags=flags)
+                with memoryview(self._map) as old:
+                    new[:24 * self._n] = old[:24 * self._n]
+                self._map.close()
+                self._map = new
+        except OSError as exc:
+            raise MemoryError(f"cannot map {rows} points: {exc.strerror}") from exc
 
-def _unwritten(rows: int, head: np.ndarray | None = None) -> np.ndarray:
-    """An uninitialised (rows, 3) float64 array in a mapping of its own, its
-    first rows a copy of ``head``: its pages count in RSS only once written
-    (numpy would ask for huge pages for 4 MB or more, so RSS would grow 2 MB
-    at a time), and the whole mapping goes back to the system when the
-    array is freed, whatever its size.  A mapping the system refuses (an
-    address-space limit) raises MemoryError."""
-    try:
-        mapping = mmap.mmap(-1, 24 * max(rows, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    except OSError as exc:
-        raise MemoryError(f"cannot map {rows} points: {exc.strerror}") from exc
-    out = np.frombuffer(mapping, dtype=np.float64).reshape(-1, 3)[:rows]
-    if head is not None:
-        out[:len(head)] = head
-    return out
+    def append(self, block: np.ndarray) -> None:
+        """Copy the (k, 3) rows of block after those appended before."""
+        if not len(block):
+            return
+        n = self._n + len(block)
+        if self._map is None or 24 * n > len(self._map):
+            self._grow(max(2 * self._n, n))
+        np.frombuffer(self._map, np.float64, 3 * len(block), 24 * self._n).reshape(-1, 3)[:] = block
+        self._n = n
+
+    def array(self) -> np.ndarray:
+        """The rows: the mapping, trimmed to them, as one (n, 3) view."""
+        if not self._n:
+            return np.empty((0, 3))
+        try:
+            self._map.resize(24 * self._n)
+        except SystemError:  # no mremap: the mapping keeps its size
+            pass
+        return np.frombuffer(self._map, np.float64, 3 * self._n).reshape(-1, 3)
 
 
 def _utf8_error(exc: UnicodeDecodeError, offset: int) -> ParseError:
@@ -411,14 +433,11 @@ class _Source:
             self._more()
 
 
-def _json_rows(source: _Source, nbytes: int) -> tuple[np.ndarray, int]:
-    """The rows orjson converts from source's chunks, one call per chunk, and
-    the number of "\n"-lines they span; source stays at the first chunk
-    refused.  The rows go into one array (_unwritten) mapped at the first
-    chunk for the nbytes of the view (expected_records), and again from the
-    rows and bytes so far whenever it is full; a chunk that would pass
-    max_records(nbytes) rows (a file that grew after its size was taken) is
-    refused.  A chunk is taken only where that gives float()'s doubles:
+def _json_rows(source: _Source, out: _Rows) -> int:
+    """Append to out the rows orjson converts from source's chunks, one call
+    per chunk, and return the number of "\n"-lines they span; source stays
+    at the first chunk refused.  A chunk is taken only where that gives
+    float()'s doubles:
     its lines are three fields of bytes "0-9.eE+-", one space apart, each
     ending in "\n" (a "+" that starts a token before a digit is deleted
     first; a chunk with other blanks, space, tab and "\r" before "\n", is
@@ -427,10 +446,9 @@ def _json_rows(source: _Source, nbytes: int) -> tuple[np.ndarray, int]:
     0) sits in a chunk with a 0."""
     import orjson  # here, so that a command that reads no cloud never loads it
 
-    out, n, lines, span = None, 0, 0, 0
+    lines = 0
     for chunk in source.chunks():
         count = chunk.count(b"\n")
-        span += len(chunk)
         chunk = _SIGN.sub(b"", chunk) if b"+" in chunk else chunk
         seps = chunk.translate(None, _NUMBER_BYTES)
         # "\r" is counted on the chunk: with the numbers gone, "1\r2\n" looks like "\r\n".
@@ -448,51 +466,43 @@ def _json_rows(source: _Source, nbytes: int) -> tuple[np.ndarray, int]:
             break
         if not np.isfinite(block).all() or not block.all() and b",-0," in b",%b," % text:
             break
-        if out is None or n + len(block) > len(out):
-            rows = expected_records(nbytes, n + len(block), span)
-            if rows < n + len(block):  # more rows than the bound: the file grew
-                break
-            out = _unwritten(rows, out[:n] if n else None)
-        out[n:n + len(block)] = block
-        n += len(block)
+        out.append(block)
         lines += count
-    return (out[:n] if n else np.empty((0, 3))), lines
+    return lines
 
 
-def _records(source: _Source, nbytes: int) -> np.ndarray:
-    """The points of the records of a view of nbytes: the header read line
-    by line, then _json_rows from the first record's "\n"-line, then float()
-    line by line from the first chunk it refuses."""
+def _records(source: _Source) -> np.ndarray:
+    """The points of the records of a view: the header read line by line,
+    then _json_rows from the first record's "\n"-line, then float() line by
+    line from the first chunk it refuses, all into one _Rows."""
     records = _meaningful_lines(_lines(source.lines()))
     declared, first = _read_header(records)
-    points, head = np.empty((0, 3)), [first] if first else []
+    out, head = _Rows(), [first] if first else []
     if first:
         after, source.pos = source.pos, source.start  # the first record's "\n"-line
-        points, lines = _json_rows(source, nbytes)
+        lines = _json_rows(source, out)
         if lines:  # the per-line loop resumes at the refused chunk, numbered on from the first record
             head, records = [], _meaningful_lines(_lines(source.lines()), first[0] + lines)
         else:  # nothing taken: read on after the first record, where the header reader stopped
             source.pos = after
     rows = [_parse_xyz_record(line.split(), n) for n, line in itertools.chain(head, records)]
     if rows:
-        points = np.concatenate((points, np.array(rows, dtype=np.float64)))
-    if declared is not None and declared[0] != len(points):
+        out.append(np.array(rows, dtype=np.float64))
+    if declared is not None and declared[0] != len(out):
         raise ParseError(
-            f"POINTS declares {declared[0]} records but data has {len(points)}",
+            f"POINTS declares {declared[0]} records but data has {len(out)}",
             line=declared[1],
         )
-    return points
+    return out.array()
 
 
 def parse_cloud(data: bytes | str | BinaryIO) -> PointCloud:
     """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame cloud.
 
-    ``data`` is the view's bytes or text, or a binary file read from its
-    position on, once, a block at a time.  The rows orjson converts go into
-    one array (_unwritten), mapped for the size of the bytes or the file at
-    the density of the first chunk of records (expected_records), and
-    mapped again larger whenever it fills.  Only the pages of that array
-    that are written count in RSS.
+    ``data`` is the view's bytes or text, or a binary file (any object with
+    ``read(n)``) read from its position on, once, a block at a time.  The
+    rows go into one array that grows as they come (_Rows), of which only
+    the written pages count in RSS.
     Lines come from the bytes alone (_lines).  The leading blank and '#'
     lines and a PCD header through DATA are read once, line by line.  From
     the first record's line on, _json_rows converts chunks of records with
@@ -503,11 +513,11 @@ def parse_cloud(data: bytes | str | BinaryIO) -> PointCloud:
     """
     if isinstance(data, (bytes, str)):
         raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-        source, nbytes = _Source(io.BytesIO(raw).read, isinstance(data, bytes)), len(raw)
+        source = _Source(io.BytesIO(raw).read, isinstance(data, bytes))
     else:
-        source, nbytes = _Source(data.read, True), os.fstat(data.fileno()).st_size
+        source = _Source(data.read, True)
     try:
-        return PointCloud(_records(source, nbytes))
+        return PointCloud(_records(source))
     except ParseError:
         source.drain()  # the UTF-8 error comes first
         raise
@@ -536,40 +546,30 @@ def transform_cloud(cloud: PointCloud, pose: ScenePose) -> PointCloud:
     return PointCloud(pts, GLOBAL_FRAME)
 
 
-def merge_clouds(clouds: Iterable[PointCloud],
-                 size: int | Callable[[int], int] | None = None) -> PointCloud:
+def merge_clouds(clouds: Iterable[PointCloud]) -> PointCloud:
     """Concatenate clouds that share one frame.
 
     The clouds are taken one at a time, and none is held once it is copied:
-    a lone cloud is returned as it is; from a second on, all are copied into
-    one array (_unwritten) of ``size`` points (their total, for a sequence,
-    if None), or, if ``size`` is a function, of ``size(n)`` for the n points
-    of the first two; it is mapped again twice as large whenever they hold
-    more.
+    a lone cloud is returned as it is; from a second on, all are appended
+    to one array that grows as they come (_Rows).
     """
-    if size is None:
-        clouds = list(clouds)
-        size = sum(map(len, clouds))
-    lone, out, n, frames = None, None, 0, set()
+    lone, out, frames = None, None, set()
     for cloud in clouds:
         frames.add(cloud.frame_id)
         if lone is None and out is None:
             lone = cloud
         else:
             if out is None:  # a second cloud: from here on, one array
-                both = len(lone) + len(cloud)
-                out = _unwritten(max(size(both) if callable(size) else size, both), lone.points)
-                n, lone = len(lone), None
-            elif n + len(cloud) > len(out):
-                out = _unwritten(max(2 * len(out), n + len(cloud)), out[:n])
-            out[n:n + len(cloud)] = cloud.points
-            n += len(cloud)
+                out = _Rows()
+                out.append(lone.points)
+                lone = None
+            out.append(cloud.points)
         del cloud  # not held while the next one is made
     if not frames:
         raise EmptyCloudError("nothing to merge")
     if len(frames) != 1:
         raise FrameMismatchError(f"clouds span multiple frames: {sorted(frames)}")
-    return lone if out is None else PointCloud(out[:n], frames.pop())
+    return lone if out is None else PointCloud(out.array(), frames.pop())
 
 
 def crop_cloud(cloud: PointCloud, roi: Box) -> PointCloud:

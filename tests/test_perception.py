@@ -1,5 +1,7 @@
 import hashlib
 import io
+import mmap
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +33,7 @@ from softgrip import (
 )
 import softgrip
 from softgrip import perception
+from softgrip.cli import main
 from softgrip.inputs import HashingReader
 from softgrip.perception import GLOBAL_FRAME
 
@@ -267,35 +270,90 @@ def test_a_view_file_is_parsed_and_hashed_in_one_read(tmp_path, large_views):
     assert perception.load_cloud(path).points.tobytes() == points.tobytes()
 
 
-def test_a_file_with_more_rows_than_its_bound_is_still_read_whole(tmp_path, monkeypatch,
-                                                                  large_views):
-    # As if the file grew after its size was taken: the orjson tier stops at
-    # the bound, and the per-line parser reads the rest.
-    points, views = large_views
-    path = tmp_path / "view.xyz"
-    path.write_bytes(views["xyz"])
-    monkeypatch.setattr(perception, "max_records", lambda nbytes: 10_000)
-    calls = _count_calls(monkeypatch, "_parse_xyz_record")
-    assert perception.load_cloud(path).points.tobytes() == points.tobytes()
-    assert len(points) - 10_000 <= len(calls) < len(points)
+def test_a_binary_stream_is_read_from_its_position_on(large_views):
+    # Any object with read(n) will do: the parse takes no size from it.
+    _, views = large_views
+    for data in (b"1 2 3\n", b"1 2 3", views["pcd"]):
+        want = parse_cloud(data).points.tobytes()
+        assert parse_cloud(io.BytesIO(data)).points.tobytes() == want
+        stream = io.BytesIO(b"4 oops 6\n" + data)
+        stream.seek(9)
+        assert parse_cloud(stream).points.tobytes() == want
 
 
-def test_a_file_whose_records_shorten_is_mapped_again_and_read_by_orjson(tmp_path, monkeypatch):
-    # The first chunk's 60-byte records set the array to a tenth of the rows
-    # that follow; it is mapped again, larger, each time it fills.
+def _mappings(monkeypatch, resize_error=None):
+    """Patch mmap.mmap, as perception calls it, with a subclass whose every
+    mapping is appended to the returned list, with the sizes it had in
+    ``sizes``; its resize raises resize_error if that is given."""
+    made = []
+
+    class Mapping(mmap.mmap):
+        def __init__(self, *args, **kwargs):
+            self.sizes = [len(self)]
+            made.append(self)
+
+        def resize(self, newsize):
+            if resize_error is not None:
+                raise resize_error
+            super().resize(newsize)
+            self.sizes.append(newsize)
+
+    monkeypatch.setattr(perception.mmap, "mmap", Mapping)
+    return made
+
+
+@pytest.fixture(scope="module")
+def shortening_view():
+    """3k seeded 60-byte records, then 100k of "1 2 3", as bytes, and their points."""
     long = np.random.default_rng(12).normal(size=(3_000, 3))
     data = "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in long.tolist()).encode() \
         + b"1 2 3\n" * 100_000
+    return data, np.vstack([long, np.tile([1.0, 2.0, 3.0], (100_000, 1))])
+
+
+def test_a_view_whose_records_shorten_is_read_by_orjson_into_one_mapping(
+        tmp_path, monkeypatch, shortening_view):
+    # The mapping doubles in place as the short records fill it, and ends
+    # trimmed to the points.
+    data, want = shortening_view
     path = tmp_path / "view.xyz"
     path.write_bytes(data)
-    want = np.vstack([long, np.tile([1.0, 2.0, 3.0], (100_000, 1))])
     records = _count_calls(monkeypatch, "_parse_xyz_record")
-    mapped = _count_calls(monkeypatch, "_unwritten")
-    assert perception.load_cloud(path).points.tobytes() == want.tobytes()
+    made = _mappings(monkeypatch)
+    for parse in (lambda: perception.load_cloud(path), lambda: parse_cloud(data)):
+        assert parse().points.tobytes() == want.tobytes()
     assert not records
-    rows = [args[0] for args in mapped]
-    assert len(rows) > 2 and rows == sorted(rows) and rows[-1] <= perception.max_records(len(data))
+    assert len(made) == 2
+    for mapping in made:
+        sizes = mapping.sizes
+        assert len(sizes) > 3 and sizes[:-1] == sorted(set(sizes[:-1]))
+        assert sizes[-1] == len(mapping) == 24 * len(want) < sizes[-2]
+
+
+def test_without_mremap_the_rows_are_mapped_anew_and_copied(monkeypatch, shortening_view):
+    data, want = shortening_view
+    made = _mappings(monkeypatch, SystemError("mmap: resizing not available--no mremap()"))
     assert parse_cloud(data).points.tobytes() == want.tobytes()
+    sizes = [m.sizes for m in made]
+    assert len(sizes) > 3 and sizes == [[size] for size in sorted(set(sum(sizes, [])))]
+    assert all(m.closed for m in made[:-1]) and not made[-1].closed
+
+
+def test_a_growth_the_system_refuses_is_a_memory_error(monkeypatch, tmp_path, capsys,
+                                                      shortening_view):
+    data, _ = shortening_view
+    _mappings(monkeypatch, OSError(12, "Cannot allocate memory"))
+    with pytest.raises(MemoryError, match=r"^cannot map \d+ points: Cannot allocate memory$"):
+        parse_cloud(data)
+    (tmp_path / "view.xyz").write_bytes(data)
+    (tmp_path / "manifest.json").write_text(
+        '{"views": [{"cloud": "view.xyz", "transform": %s}]}' % np.eye(4).ravel().tolist())
+    assert main(["estimate", "--manifest", str(tmp_path / "manifest.json"),
+                 "--out", str(tmp_path / "run")]) == 7
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"softgrip: out of memory: cannot map \d+ points: "
+                        r"Cannot allocate memory\n", err)
 
 
 def test_a_mapping_the_system_refuses_is_a_memory_error(tmp_path, monkeypatch):
@@ -415,35 +473,18 @@ def test_merge_is_order_free_for_extents():
     assert ab.extents == ba.extents
 
 
-def test_merge_takes_an_iterator_of_clouds_into_an_array_of_the_given_size():
-    a, b = make_cylinder(n_points=30, seed=1), make_cylinder(n_points=20, seed=2)
-    want = np.vstack([a.points, b.points])
-    for size in (0, 10, 30, 50, 1000):  # the array grows when the clouds hold more
-        merged = merge_clouds(iter([a, b]), size)
-        assert merged.points.tobytes() == want.tobytes()
-        assert merged.frame_id == a.frame_id
-    assert merge_clouds(iter([a, PointCloud(np.empty((0, 3)), a.frame_id)]), 30).points.tobytes() \
-        == a.points.tobytes()
+@pytest.mark.parametrize("sizes", [(30,), (0,), (30, 20), (0, 0), (30, 0, 20, 40),
+                                   (30, 20, 40, 100)], ids=lambda s: "+".join(map(str, s)))
+def test_merge_takes_an_iterator_of_clouds_into_one_array(sizes):
+    clouds = [PointCloud(np.random.default_rng(k).normal(size=(n, 3)), GLOBAL_FRAME)
+              for k, n in enumerate(sizes)]
+    merged = merge_clouds(iter(clouds))
+    assert merged.points.tobytes() == np.vstack([c.points for c in clouds]).tobytes()
+    assert merged.frame_id == GLOBAL_FRAME
     with pytest.raises(EmptyCloudError):
-        merge_clouds(iter([]), 10)
+        merge_clouds(iter([]))
     with pytest.raises(FrameMismatchError):
-        merge_clouds(iter([a, PointCloud(b.points, "camera")]), 50)
-
-
-def test_merge_sizes_its_array_from_the_first_two_clouds_and_doubles_it():
-    clouds = [make_cylinder(n_points=n, seed=n) for n in (30, 20, 40, 100)]
-    seen, mapped = [], []
-    unwritten = perception._unwritten
-
-    def mapping(rows, head=None):
-        mapped.append(rows)
-        return unwritten(rows, head)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(perception, "_unwritten", mapping)
-        out = merge_clouds(iter(clouds), lambda n: seen.append(n) or n + 10)
-    assert out.points.tobytes() == np.vstack([c.points for c in clouds]).tobytes()
-    assert seen == [50] and mapped == [60, 120, 240]
+        merge_clouds(iter([*clouds, PointCloud(np.zeros((2, 3)))]))
 
 
 def test_merge_rejects_frame_mix():

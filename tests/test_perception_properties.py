@@ -119,7 +119,7 @@ def _outcome(data):
 
 def per_line_outcome(data):
     """parse_cloud with the orjson tier refusing every chunk."""
-    with mock.patch.object(perception, "_json_rows", lambda source, empty: (np.empty((0, 3)), 0)):
+    with mock.patch.object(perception, "_json_rows", lambda source, out: 0):
         return _outcome(data)
 
 

@@ -139,11 +139,11 @@ def scene(tmp_path_factory):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmSize from /proc/self/status")
 @pytest.mark.parametrize("extra_mib", [80, 120])
 def test_estimate_of_three_large_views_fits_a_capped_address_space(tmp_path, scene, extra_mib):
-    # Each view's array is mapped for the density of its first chunk of
-    # records, and the merged array for that of the first two views: about
-    # 59 MiB above the import here, where mapping max_records of each file
-    # size (four times the file) took 135 MiB and ended in an OSError.  One
-    # OpenBLAS thread, so that the cap does not depend on the host's CPUs.
+    # Each view's array and the merged one double in place as they fill and
+    # are trimmed to their points: about 59 MiB above the import here, where
+    # mapping a record per 6 bytes of each file (four times the file) took
+    # 135 MiB and ended in an OSError.  One OpenBLAS thread, so that the cap
+    # does not depend on the host's CPUs.
     proc = subprocess.run(
         [sys.executable, "-c", ADDRESS_SPACE_CAPPED, SRC, str(extra_mib), "estimate",
          "--manifest", str(scene), "--roi=-0.06,-0.06,-0.07,0.06,0.06,0.07",

@@ -21,6 +21,9 @@ header is read line by line first.  The "%+.6f" view's "+0.1" is not
 JSON; orjson reads it once each "+" before a digit is deleted.  The "bad
 utf-8" view has a malformed record early and a byte that is not UTF-8
 near its end: the UTF-8 error is reported, as it comes before any other.
+The "shortening" view keeps its first 3k records and has "1 2 3" for
+every one after them (outside the box), so its points per byte rise
+tenfold after the first chunk and its point array grows many times.
 Every case runs ``softgrip estimate --roi`` (the box keeps the cylinder) in a fresh
 interpreter with ``src`` on PYTHONPATH, for the working tree and for
 --base (checked out with ``git worktree`` under .bench_work/, or a
@@ -56,6 +59,8 @@ SIZES = (10_000, 200_000, 1_000_000)
 VIEWS = (1, 3)
 BAD_RECORD = "0.0 0.0x1 0.0\n"  # written in place of a malformed view's last-but-two record
 BAD_UTF8 = b"0.0 0.0 0.0 \xff\n"  # not UTF-8: the "bad utf-8" view's last-but-two record
+LONG_RECORDS = 3_000  # kept by a "shortening" view; the rest are SHORT_RECORD
+SHORT_RECORD = b"1 2 3\n"
 PCD_HEADER = ("# view {k} of {views}, seed {seed}\nVERSION .7\nFIELDS x y z\nSIZE 8 8 8\n"
               "TYPE F F F\nCOUNT 1 1 1\nWIDTH {n}\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
               "POINTS {n}\nDATA ascii\n")
@@ -70,6 +75,7 @@ RECORDS = {
     "# caf\u00e9": ("{!r} {!r} {!r}\n", "# caf\u00e9 view {k} of {views}, seed {seed}\n"),
     "bad utf-8": ("{!r} {!r} {!r}\n", "# view {k} of {views}, seed {seed}\n"),
     "pcd": ("{!r} {!r} {!r}\n", PCD_HEADER),
+    "shortening": ("{!r} {!r} {!r}\n", "# view {k} of {views}, seed {seed}\n"),
 }
 FAILING = ("bad record", "bad utf-8")  # kinds whose estimate exits 2
 ROI = (-0.06, -0.06, -0.01, 0.06, 0.06, 0.13)
@@ -94,7 +100,8 @@ def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
     records and header ``kind`` picks from RECORDS; returns its manifest.
     The last view of a "bad record" scene ends in BAD_RECORD and two good
     records; that of a "bad utf-8" scene has BAD_RECORD as its third record
-    and BAD_UTF8 as its last-but-two."""
+    and BAD_UTF8 as its last-but-two; a "shortening" view's records after
+    its first LONG_RECORDS are SHORT_RECORD."""
     record, header = RECORDS[kind]
     n_noise = n_points // 10
     cylinder = make_cylinder(n_points=n_points - n_noise, seed=seed, center=(0.0, 0.0, 0.06))
@@ -110,6 +117,8 @@ def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
             rows[-3] = BAD_RECORD.encode()
         if kind == "bad utf-8" and k == n_views - 1:
             rows[2], rows[-3] = BAD_RECORD.encode(), BAD_UTF8
+        if kind == "shortening":
+            rows[LONG_RECORDS:] = [SHORT_RECORD] * (len(rows) - LONG_RECORDS)
         with open(folder / f"view_{k}.xyz", "wb") as fh:
             fh.write(header.format(k=k, views=n_views, seed=seed, n=len(rows)).encode())
             fh.writelines(rows)
