@@ -24,8 +24,8 @@ from typing import IO, Callable, Optional
 
 from . import geometry as geometry_mod
 from .capacity import default_capacity_model, load_capacity_model
-from .errors import (ConfigError, EmptyCloudError, NoContactError, ParseError, ResourceError,
-                     SoftgripError)
+from .errors import (ConfigError, EmptyCloudError, InvalidPoseError, NoContactError, ParseError,
+                     ResourceError, SoftgripError)
 from .geometry import GripperGeometry, default_geometry
 from .inputs import HashingReader, decode_json, from_dict
 from .perception import (
@@ -200,11 +200,10 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> No
         # An unreadable cloud raises ConfigError, which names it already.
         with run.open_input(cloud_path) as stream:
             try:
-                cloud = parse_cloud(stream)
-            except ParseError as exc:
-                raise ParseError(f"{cloud_path}: {exc}") from exc
+                cloud = transform_cloud(parse_cloud(stream), pose)
+            except (ParseError, InvalidPoseError) as exc:
+                raise type(exc)(f"{cloud_path}: {exc}") from exc
         stage_counts[f"view_{i}_parsed"] = len(cloud)
-        cloud = transform_cloud(cloud, pose)
         return cloud if roi is None else crop_cloud(cloud, roi)
 
     # A generator of calls, so that no view is held once merge_clouds has it.

@@ -14,7 +14,8 @@ vectorized elementwise and checks no operating window, which the sliding
 regime exceeds; only check_window checks it, and only it warns.  All
 functions are safe to call concurrently.  Trajectories and traces hold
 read-only float64 columns; write_columns writes every trace, in one
-process, with the floats of a large one formatted by orjson in C.
+process, with the leading float columns of a large one's chunks formatted
+by one orjson call per chunk.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
-from itertools import groupby
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
@@ -441,51 +441,24 @@ def _is_positional(block: np.ndarray) -> bool:
     return bool(np.all((magnitude >= 1e-4) & (magnitude < 1e16) | (magnitude == 0)))
 
 
-def _cell_texts(columns: Sequence[np.ndarray], dumps) -> list[list[str]]:
-    """The text of one chunk of rows, as lists of row texts of one or more cells.
+def _chunk_text(columns: Sequence[np.ndarray], dumps) -> str:
+    """The text of one chunk of rows, each row ending in a newline.
 
-    With ``dumps`` (orjson.dumps), a chunk whose positional float64 columns
-    lead and whose other columns, if any, follow them (the fk and slide
-    traces) is one text of all rows but the last newline (_labelled_text).
-    Otherwise a positional run of adjacent float64 columns is one list from
-    one ``dumps`` call of the run's 2-D array; any other float64 column is a
-    list of float.__repr__ texts, and any other column a list of strings.
+    With ``dumps`` (orjson.dumps), a chunk whose leading float64 columns
+    form a positional block gets that block's row texts from one ``dumps``
+    call, split at each "],[" between its rows.  Every other cell is
+    written as float.__repr__ writes a float and as it is for a string.
     """
     lead = next((i for i, c in enumerate(columns) if c.dtype != np.float64), len(columns))
-    if dumps and lead and all(c.dtype != np.float64 for c in columns[lead:]):
+    texts = []
+    if dumps and lead:
         block = np.column_stack(columns[:lead])
         if _is_positional(block):
-            return [[_labelled_text(block, columns[lead:], dumps)]]
-    texts = []
-    for is_float, group in groupby(columns, key=lambda c: c.dtype == np.float64):
-        group = list(group)
-        if not is_float:
-            texts += [c.tolist() for c in group]
-            continue
-        block = np.column_stack(group)
-        if dumps and _is_positional(block):
             texts.append(dumps(block)[2:-2].decode().split("],["))
-        else:
-            texts += [list(map(float.__repr__, c.tolist())) for c in group]
-    return texts
-
-
-def _labelled_text(block: np.ndarray, labels: Sequence[np.ndarray], dumps) -> str:
-    """The rows of a positional float64 block followed by label columns (none,
-    or the slide trace's phase), without the last row's newline: one orjson
-    text per run of rows with equal labels, their labels written in place of
-    each row separator "],[", so no row is joined on its own."""
-    changed = np.zeros(len(block) - 1, dtype=bool)
-    for column in labels:
-        changed |= column[1:] != column[:-1]
-    cuts = [0, *(np.flatnonzero(changed) + 1).tolist(), len(block)]
-    texts = [column.tolist() for column in labels]
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        end = "".join(f",{text[lo]}" for text in texts) + "\n"
-        parts += [dumps(block[lo:hi])[2:-2].decode().replace("],[", end), end]
-    parts[-1] = parts[-1][:-1]
-    return "".join(parts)
+            columns = columns[lead:]
+    texts += [list(map(float.__repr__, c.tolist())) if c.dtype == np.float64 else c.tolist()
+              for c in columns]
+    return "\n".join(map(",".join, zip(*texts))) + "\n"
 
 
 def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -> None:
@@ -496,13 +469,13 @@ def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -
     strings, written as they are.  Rows go to ``stream`` CSV_CHUNK_ROWS at a
     time, so the text of the whole table is never held at once.
 
-    A table of at least ORJSON_MIN_CELLS cells formats each chunk's runs of
-    adjacent float64 columns with orjson.dumps, whose shortest round-trip
-    digits are those of float.__repr__.  Only a run whose every value is
-    zero or of a magnitude in [1e-4, 1e16) takes that path, where both
-    write positional notation; any other run (NaN, +-inf, a tiny or huge
-    value) is written with float.__repr__, so the bytes are the same either
-    way.
+    A table of at least ORJSON_MIN_CELLS cells formats each chunk's leading
+    float64 columns with one orjson.dumps call, whose shortest round-trip
+    digits are those of float.__repr__, and joins each row of its text to
+    the row's other cells.  Only a block whose every value is zero or of a
+    magnitude in [1e-4, 1e16) takes that path, where both write positional
+    notation; any other chunk (NaN, +-inf, a tiny or huge value) is written
+    with float.__repr__, so the bytes are the same either way.
     """
     dumps = None
     if len(columns[0]) * len(columns) >= ORJSON_MIN_CELLS:
@@ -511,9 +484,7 @@ def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -
         dumps = partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
     stream.write(header + "\n")
     for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        texts = _cell_texts([c[lo:lo + CSV_CHUNK_ROWS] for c in columns], dumps)
-        row = ",".join(["{}"] * len(texts)) + "\n"
-        stream.write("".join(map(row.format, *texts)))
+        stream.write(_chunk_text([c[lo:lo + CSV_CHUNK_ROWS] for c in columns], dumps))
 
 
 FK_TRACE_HEADER = "theta,y_b,delta,b,alpha,x_left,x_right,y_tip"

@@ -539,11 +539,18 @@ def write_cloud_xyz(cloud: PointCloud, stream: IO[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def transform_cloud(cloud: PointCloud, pose: ScenePose) -> PointCloud:
-    """Apply p' = R p + t to every point and relabel to the global frame."""
+    """Apply p' = R p + t to every point and relabel to the global frame.
+
+    Raises InvalidPoseError when a point leaves the float range.
+    """
     rot_t = pose.rotation_t if len(cloud) > 1 else pose.rotation.T
-    pts = cloud.points @ rot_t
-    pts += pose.translation
-    return PointCloud(pts, GLOBAL_FRAME)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        pts = cloud.points @ rot_t
+        pts += pose.translation
+    try:
+        return PointCloud(pts, GLOBAL_FRAME)
+    except ValueError as exc:  # the only one PointCloud raises for (N, 3) points
+        raise InvalidPoseError("the transform takes a point past the float range") from exc
 
 
 def merge_clouds(clouds: Iterable[PointCloud]) -> PointCloud:

@@ -32,7 +32,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "FreeTrace", "PerturbationModel", "SlideConfig", "SlideRecord", "SlideTrace",
+    "FreeRecord", "PerturbationModel", "SlideConfig", "SlideRecord", "SlideTrace",
     "flex_feedback_direction", "simulate_free", "simulate_slide", "write_slide_trace_csv",
 ]
 
@@ -84,17 +84,13 @@ class FreeRecord(NamedTuple):
     y_tip_sim: float
 
 
-@dataclass(frozen=True)
-class FreeTrace(Trace):
-    """Free-motion columns: a FreeRecord of arrays."""
-
-
 def simulate_free(
     geom: GripperGeometry,
     trajectory: MotorTrajectory,
     perturbation: PerturbationModel = PerturbationModel(),
-) -> FreeTrace:
-    """Free (contactless) motion of the left fingertip along a trajectory.
+) -> Trace:
+    """Free (contactless) motion of the left fingertip along a trajectory: a
+    Trace of FreeRecord columns.
 
     Backlash is the standard play operator with half-width w = width/2:
     theta_eff is dragged inside [theta - w, theta + w], so a sustained
@@ -121,7 +117,7 @@ def simulate_free(
         noise = np.clip(rng.normal(0.0, sd, (len(theta), 2)), -4 * sd, 4 * sd)
         x_sim = x_sim + noise[:, 0]
         y_sim = y_sim + noise[:, 1]
-    return FreeTrace(FreeRecord(theta, theta_eff, model.x_left, model.y_tip, x_sim, y_sim))
+    return Trace(FreeRecord(theta, theta_eff, model.x_left, model.y_tip, x_sim, y_sim))
 
 
 @dataclass(frozen=True)

@@ -759,6 +759,19 @@ def test_malformed_record_names_its_cloud(tmp_path, capsys):
     assert f"softgrip: {tmp_path / 'bad.xyz'}: malformed number '0.0x1' (line 2, column 3)" in err
 
 
+def test_a_pose_that_takes_a_point_past_the_float_range_exits_2_and_names_its_cloud(
+        tmp_path, capsys):
+    (tmp_path / "far.xyz").write_text("1e308 1e308 1e308\n")
+    pose = np.eye(4)
+    pose[0, 3] = 1e308
+    manifest = write_manifest(tmp_path, [{"cloud": "far.xyz", "transform": pose.ravel().tolist()}])
+    out = tmp_path / "run"
+    assert run_cli("estimate", "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"softgrip: {tmp_path / 'far.xyz'}: the transform takes a point past the float range"]
+    assert not out.exists()
+
+
 def test_bad_roi_fails_before_any_cloud_is_parsed(tmp_path, monkeypatch):
     manifest = _cylinder_manifest(tmp_path)
     parsed = []

@@ -7,17 +7,16 @@ table.  These tests pin the CPU count, make os.fork raise, lower the orjson
 threshold and the chunk size, so that small tables take the orjson path on
 any host and straddle the chunk edges, and compare the text with the one
 written at the shipped settings (float.__repr__ for these small tables).
+orjson.dumps is spied on to show that every chunk took it.
 """
 
 import io
-import math
 import os
 
-import numpy as np
 import pytest
 
 from softgrip import geometry
-from softgrip.geometry import fk_trace, sample_trajectory, write_columns, write_fk_trace_csv
+from softgrip.geometry import fk_trace, sample_trajectory, write_fk_trace_csv
 from softgrip.simulate import SlideConfig, simulate_slide, write_slide_trace_csv
 
 
@@ -25,6 +24,11 @@ def text_of(writer, data):
     stream = io.StringIO()
     writer(data, stream)
     return stream.getvalue()
+
+
+def chunk_rows(data, chunk):
+    """The row count of each chunk of `chunk` rows that `data` is written in."""
+    return [min(chunk, len(data) - lo) for lo in range(0, len(data), chunk)]
 
 
 @pytest.fixture(autouse=True)
@@ -50,21 +54,10 @@ def split(monkeypatch):
     return set_to
 
 
-@pytest.fixture
-def chunks(monkeypatch):
-    """One entry per chunk write_columns formats: True when it was given orjson."""
-    seen, cell_texts = [], geometry._cell_texts
-
-    def spy(columns, dumps):
-        seen.append(dumps is not None)
-        return cell_texts(columns, dumps)
-
-    monkeypatch.setattr(geometry, "_cell_texts", spy)
-    return seen
-
-
 @pytest.fixture(scope="module")
 def traces():
+    """(writer, trace, its text as shipped) of a 1e-3 rad fk and slide trace:
+    4,808 and 6,606 cells, written with float.__repr__ as shipped."""
     geom = geometry.default_geometry()
     fk = fk_trace(geom, sample_trajectory(geom, -0.8, -1.4, 1e-3))
     slide = simulate_slide(geom, SlideConfig(step=1e-3))
@@ -73,15 +66,17 @@ def traces():
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 4096, geometry.CSV_CHUNK_ROWS])
-def test_traces_on_two_cpus_match_the_in_process_text(traces, cpus, chunks, split, chunk):
+def test_traces_on_two_cpus_match_the_in_process_text(traces, cpus, dumps_calls, split, chunk):
+    # Orjson from 500 cells: every chunk of both traces takes it, and the
+    # slide's phase changes fall inside chunks and straddle their edges.
     cpus(2)
     split(500, chunk)
     for writer, data, want in traces:
         assert text_of(writer, data) == want
-    assert chunks == [True] * sum(math.ceil(len(data) / chunk) for _, data, _ in traces)
+    assert dumps_calls == [n for _, data, _ in traces for n in chunk_rows(data, chunk)]
 
 
-def test_slide_runs_and_phases_straddle_the_share_edge(traces, cpus, chunks, split):
+def test_slide_runs_and_phases_straddle_the_share_edge(traces, cpus, dumps_calls, split):
     # The middle row, where a two-way split once cut the table, falls inside
     # a run of equal rows and of one phase; with 7-row chunks it is also a
     # chunk edge's neighbour.
@@ -92,38 +87,13 @@ def test_slide_runs_and_phases_straddle_the_share_edge(traces, cpus, chunks, spl
     y_sim, phase = slide.columns.y_sim, slide.columns.phase
     assert y_sim[bound - 1] == y_sim[bound] and phase[bound - 1] == phase[bound]
     assert text_of(write_slide_trace_csv, slide) == want
-    assert chunks and all(chunks)
+    assert dumps_calls == chunk_rows(slide, 7)
 
 
-def test_runs_and_strings_straddle_every_edge(cpus, chunks, split):
-    # Runs of 250 (signed zeros, NaN) and of 334 labels cross the 3-row chunk
-    # edges; a chunk holding a NaN falls back to float.__repr__ for its run.
-    n = 1000
-    columns = [np.repeat([0.0, -0.0, 1.5, np.nan], n // 4), np.linspace(0.0, 1.0, n),
-               np.repeat(np.array(["approach", "sliding", "é"], dtype=object), 334)[:n],
-               np.full(n, -1.4)]
-    want = io.StringIO()
-    write_columns("a,b,c,d", columns, want)
-    cpus(4)
-    split(n, 3)
-    got = io.StringIO()
-    write_columns("a,b,c,d", columns, got)
-    assert got.getvalue() == want.getvalue()
-    assert chunks == [False] + [True] * math.ceil(n / 3)
-
-
-def test_one_cpu_starts_no_worker(traces, cpus, chunks, split):
+def test_one_cpu_starts_no_worker(traces, cpus, dumps_calls, split):
     cpus(1)
     split(500)
     for writer, data, want in traces:
         assert text_of(writer, data) == want
-    assert chunks == [True] * sum(math.ceil(len(data) / geometry.CSV_CHUNK_ROWS)
-                                  for _, data, _ in traces)
-
-
-def test_a_small_trace_never_starts_a_worker(geom, cpus, chunks):
-    cpus(64)
-    trace = fk_trace(geom, sample_trajectory(geom, -0.8, -1.4, 0.015))
-    assert len(trace) == 41
-    assert text_of(write_fk_trace_csv, trace).count("\n") == 42
-    assert chunks == [False]
+    assert dumps_calls == [n for _, data, _ in traces
+                           for n in chunk_rows(data, geometry.CSV_CHUNK_ROWS)]

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,16 @@ def test_pose_validation():
         ScenePose(skewed)
     with pytest.raises(InvalidPoseError):
         ScenePose.from_flat([1.0] * 12)
+
+
+@pytest.mark.parametrize("n_points", [1, 2])  # R as a strided view, as its own array
+def test_a_transform_that_takes_a_point_past_the_float_range_is_refused(n_points):
+    pose = np.eye(4)
+    pose[0, 3] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidPoseError, match="past the float range"):
+            transform_cloud(PointCloud(np.full((n_points, 3), 1e308)), ScenePose(pose))
 
 
 def test_merge_single_cloud_is_identity():

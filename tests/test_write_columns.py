@@ -1,14 +1,16 @@
 """Byte identity of geometry.write_columns, the one CSV writer of every trace.
 
-write_columns formats a large table's positional float runs with orjson and
-every other value with float.__repr__, and writes in row chunks.  The
-reference is the plain per-row join of each value's repr (a string column
-as it is): on every drawn table both must give the same text, byte for
-byte.  Columns are drawn as runs, so equal neighbours, 0.0 next to -0.0 and
-NaNs with different bits are common.  The chunk size is drawn small as
-well, so that tables straddle it cheaply; the explicit examples straddle
-the real one.  The orjson threshold is drawn as 0 (every table takes the
-orjson path) or as shipped (every drawn table is too small for it).
+write_columns formats the leading positional float columns of a large
+table's chunks with one orjson call each and every other value with
+float.__repr__, and writes in row chunks.  The reference is the plain
+per-row join of each value's repr (a string column as it is): on every
+drawn table both must give the same text, byte for byte.  Columns are
+drawn as runs, so equal neighbours, 0.0 next to -0.0 and NaNs with
+different bits are common.  The chunk size is drawn small as well, so
+that tables straddle it cheaply; the explicit examples straddle the real
+one.  The orjson threshold is drawn as 0 (every table takes the orjson
+path) or as shipped (every drawn table is too small for it).  Where a test
+must show which chunks took orjson, it spies on orjson.dumps.
 """
 
 import io
@@ -24,7 +26,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softgrip import geometry
-from softgrip.geometry import CSV_CHUNK_ROWS, ORJSON_MIN_CELLS, write_columns
+from softgrip.geometry import (
+    CSV_CHUNK_ROWS,
+    ORJSON_MIN_CELLS,
+    fk_trace,
+    sample_trajectory,
+    write_columns,
+    write_fk_trace_csv,
+)
 
 NAN_PAYLOAD = float(np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(np.float64)[0])
 
@@ -112,22 +121,41 @@ LABEL_CUTS = [
 
 @pytest.mark.parametrize("cells", [0, ORJSON_MIN_CELLS])  # the orjson path, the repr path
 @pytest.mark.parametrize("cuts", LABEL_CUTS)
-def test_labels_that_change_inside_a_chunk_and_at_its_edge(monkeypatch, cells, cuts):
+def test_labels_that_change_inside_a_chunk_and_at_its_edge(cells, cuts):
     # 12 rows in chunks of 4; the phase column changes at the given rows.
-    # On the orjson path every chunk is written as one text per label run.
-    runs = []
-    labelled_text = geometry._labelled_text
-    monkeypatch.setattr(geometry, "_labelled_text",
-                        lambda block, labels, dumps: runs.append(len(block))
-                        or labelled_text(block, labels, dumps))
     phase = np.array(["approach"] * 12, dtype=object)
     for k, cut in enumerate(cuts):
         phase[cut:] = ("sliding", "closed", "é")[k % 3]
     columns = [np.linspace(-0.8, -1.9, 12), np.linspace(1e-4, 1e15, 12), phase]
     assert written("a,b,phase", columns, 4, cells) == reference("a,b,phase", columns)
-    assert runs == ([4, 4, 4] if cells == 0 else [])
     two = [*columns, phase[::-1].copy()]  # two label columns, with changes of their own
     assert written("a,b,p,q", two, 4, cells) == reference("a,b,p,q", two)
+
+
+def text_of(writer, data):
+    stream = io.StringIO()
+    writer(data, stream)
+    return stream.getvalue()
+
+
+def test_runs_and_strings_straddle_every_chunk_edge(dumps_calls):
+    # Runs of 250 (signed zeros, NaN) and of 334 labels cross the 3-row chunk
+    # edges, and a float column follows the labels.  The 250 chunks before
+    # the first NaN, at row 750, take orjson; the rest float.__repr__.
+    n = 1000
+    columns = [np.repeat([0.0, -0.0, 1.5, np.nan], n // 4), np.linspace(0.0, 1.0, n),
+               np.repeat(np.array(["approach", "sliding", "é"], dtype=object), 334)[:n],
+               np.full(n, -1.4)]
+    want = written("a,b,c,d", columns)
+    assert written("a,b,c,d", columns, 3, n) == want
+    assert dumps_calls == [3] * 250
+
+
+def test_a_small_trace_never_calls_orjson(geom, dumps_calls):
+    trace = fk_trace(geom, sample_trajectory(geom, -0.8, -1.4, 0.015))
+    assert len(trace) == 41
+    assert text_of(write_fk_trace_csv, trace).count("\n") == 42
+    assert not dumps_calls
 
 
 def test_write_columns_keeps_zero_signs_within_a_run():

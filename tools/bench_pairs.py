@@ -31,6 +31,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKTREE = ROOT / ".bench_work" / "parent"
+# Runs the softgrip CLI in a fresh interpreter; the first argument is the
+# src directory to import softgrip from (tools/ingest_scale.py, trace_scale.py).
+CLI_CODE = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "from softgrip.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
 def git(*args: str) -> str:
@@ -51,6 +55,21 @@ def worktree(base: str, path: Path = WORKTREE):
         yield path
     finally:
         git("worktree", "remove", "--force", str(path))
+
+
+def print_medians(rows: list, base: str, case: str, output: str) -> bool:
+    """Print one markdown row per case of ``rows``, (case, {"base": runs,
+    "change": runs}, same), each run a (wall s, peak RSS MB, output) tuple:
+    both sides' median wall time and peak RSS, and whether every run of the
+    case gave the same ``output``.  True when every case did."""
+    print(f"| {case} | {base} s | change s | {base} MB | change MB | {output} |")
+    print("|---|---|---|---|---|---|")
+    for label, runs, same in rows:
+        wall = {name: statistics.median(r[0] for r in side) for name, side in runs.items()}
+        rss = {name: statistics.median(r[1] for r in side) for name, side in runs.items()}
+        print(f"| {label} | {wall['base']:.3f} | {wall['change']:.3f} | {rss['base']:.1f} "
+              f"| {rss['change']:.1f} | {'identical' if same else 'DIFFERS'} |")
+    return all(same for *_, same in rows)
 
 
 def src_digest(tree: Path) -> str:

@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from bench_pairs import ROOT, WORKTREE, worktree
+from bench_pairs import CLI_CODE, ROOT, WORKTREE, print_medians, worktree
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from run import Launcher  # noqa: E402
@@ -79,9 +78,6 @@ RECORDS = {
 }
 FAILING = ("bad record", "bad utf-8")  # kinds whose estimate exits 2
 ROI = (-0.06, -0.06, -0.01, 0.06, 0.06, 0.13)
-# The first argument is the src directory to import softgrip from.
-CLI_CODE = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
-            "from softgrip.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
 def _pose(k: int) -> np.ndarray:
@@ -170,15 +166,7 @@ def main(argv=None) -> int:
             rows.append((case, runs, same))
             print(f"{case}: done", file=sys.stderr)
 
-    print(f"| points x views | {args.base} s | change s | {args.base} MB | change MB "
-          f"| estimate.json or stderr |")
-    print("|---|---|---|---|---|---|")
-    for case, runs, same in rows:
-        wall = {name: statistics.median(r[0] for r in side) for name, side in runs.items()}
-        rss = {name: statistics.median(r[1] for r in side) for name, side in runs.items()}
-        print(f"| {case} | {wall['base']:.3f} | {wall['change']:.3f} | {rss['base']:.1f} "
-              f"| {rss['change']:.1f} | {'identical' if same else 'DIFFERS'} |")
-    return 0 if all(same for *_, same in rows) else 1
+    return 0 if print_medians(rows, args.base, "points x views", "estimate.json or stderr") else 1
 
 
 if __name__ == "__main__":

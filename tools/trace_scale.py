@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fresh-process `fk` and `simulate-slide` sweeps at 1e-3, 1e-5 and 1e-6 rad steps.
+"""Fresh-process `fk` and `simulate-slide` sweeps at 1e-3, 1e-5 and 1e-6 rad steps, and `plan`.
 
     python3 tools/trace_scale.py                    # working tree against HEAD
     python3 tools/trace_scale.py --base HEAD~1 --repeats 7
@@ -12,26 +12,28 @@ PYTHONPATH, for the working tree and for --base (checked out with ``git
 worktree`` under .bench_work/, or a checkout's directory used as it is),
 the two sides alternated and their order swapped every repeat.  Two more
 cases run each command at 1e-5 rad with ``--geometry``, a copy of the
-shipped geometry JSON, so that an input is read and hashed.  The children
-are started by bench/launcher.py, so that ``ru_maxrss`` is the child's own.
+shipped geometry JSON, so that an input is read and hashed.  The last case
+runs ``softgrip plan --estimate FILE --mass 0.1`` on a small estimate JSON,
+so that all three CSV writers are compared.  The children are started by
+bench/launcher.py, so that ``ru_maxrss`` is the child's own.
 Printed per case and side: the median wall time of the child and the median
 of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Every run of a case, on
 both sides, must write the same files with the same bytes: the CSV,
-``slide_summary.json`` and ``run_manifest.json``.  Each run directory is
-removed once its files are hashed, and the worktree at the end.
+``slide_summary.json``, ``plan.json`` and ``run_manifest.json``.  Each run
+directory is removed once its files are hashed, and the worktree at the end.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import shutil
-import statistics
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, WORKTREE, worktree
+from bench_pairs import CLI_CODE, ROOT, WORKTREE, print_medians, worktree
 
 sys.path.insert(0, str(ROOT / "bench"))
 from run import Launcher  # noqa: E402
@@ -43,9 +45,9 @@ COMMANDS = {
     "simulate-slide": ["simulate-slide"],
 }
 GEOMETRY_STEP = "1e-5"  # of the cases that read --geometry
-# The first argument is the src directory to import softgrip from.
-CLI_CODE = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
-            "from softgrip.cli import main; sys.exit(main(sys.argv[1:]))")
+# The estimate the plan case reads: an 80 mm cylinder, 120 mm tall.
+ESTIMATE = {"estimate": {"centroid_m": [0.0, 0.0, 0.1], "extents_m": [0.08, 0.08, 0.12],
+                         "point_count": 5000, "dominant_axis": "Z"}}
 
 
 def run_case(launcher: Launcher, tree: Path, args: list[str],
@@ -81,6 +83,9 @@ def main(argv=None) -> int:
         cases = [[*COMMANDS[command], "--step", step] for command in COMMANDS for step in STEPS]
         cases += [[*COMMANDS[command], "--step", GEOMETRY_STEP, "--geometry", str(geometry)]
                   for command in COMMANDS]
+        estimate = Path(tmp) / "estimate.json"
+        estimate.write_text(json.dumps(ESTIMATE), encoding="utf-8")
+        cases.append(["plan", "--estimate", str(estimate), "--mass", "0.1"])
         for c, case in enumerate(cases):
             runs = {"base": [], "change": []}
             for i in range(args.repeats):
@@ -89,18 +94,13 @@ def main(argv=None) -> int:
                     out = Path(tmp) / f"case{c}_{i}_{k}"
                     runs[name].append(run_case(launcher, tree, case, out))
             same = len({digest for side in runs.values() for *_, digest in side}) == 1
-            label = " ".join(case[:1] + case[case.index("--step"):]).replace(str(geometry), "FILE")
+            prefix = len(COMMANDS.get(case[0], case[:1]))  # leaves the fk range out
+            label = " ".join(case[:1] + case[prefix:])
+            label = label.replace(str(geometry), "FILE").replace(str(estimate), "FILE")
             rows.append((label, runs, same))
             print(f"{label}: done", file=sys.stderr)
 
-    print(f"| case | {args.base} s | change s | {args.base} MB | change MB | files sha256 |")
-    print("|---|---|---|---|---|---|")
-    for case, runs, same in rows:
-        wall = {name: statistics.median(r[0] for r in side) for name, side in runs.items()}
-        rss = {name: statistics.median(r[1] for r in side) for name, side in runs.items()}
-        print(f"| {case} | {wall['base']:.3f} | {wall['change']:.3f} | {rss['base']:.1f} "
-              f"| {rss['change']:.1f} | {'identical' if same else 'DIFFERS'} |")
-    return 0 if all(same for *_, same in rows) else 1
+    return 0 if print_medians(rows, args.base, "case", "files sha256") else 1
 
 
 if __name__ == "__main__":
