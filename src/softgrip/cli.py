@@ -13,6 +13,7 @@ error that ended the run (see softgrip.errors).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -101,16 +102,27 @@ class RunDir:
     def write(self, name: str, fill: Callable[[IO[str]], object]) -> Path:
         """Write one artifact by streaming ``fill(stream)`` into its file; the
         directory appears with the first of them, once the parameters are
-        known to fit the run manifest."""
+        known to fit the run manifest.  A write that fails or is interrupted
+        leaves neither its file nor the directories it made."""
         if not self.outputs:
             self._json_text("run_manifest.json", self.parameters)
         target = self.path / name
+        made = [path for path in (self.path, *self.path.parents) if not path.exists()]
+        opened = False
         try:
             self.path.mkdir(parents=True, exist_ok=True)
             with target.open("w", encoding="utf-8") as stream:
+                opened = True
                 fill(stream)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {target}: {exc}") from exc
+        except BaseException as exc:
+            with contextlib.suppress(OSError):
+                if opened:
+                    target.unlink()
+                for path in made:  # the run directory, then any parent it needed
+                    path.rmdir()
+            if isinstance(exc, OSError):
+                raise ConfigError(f"cannot write {target}: {exc}") from exc
+            raise
         self.outputs.append(name)
         return target
 
@@ -160,7 +172,7 @@ def cmd_fk(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> None:
         if args.theta_from is None or args.theta_to is None:
             raise ConfigError("need --theta or both --from and --to")
         trajectory = geometry_mod.sample_trajectory(geom, args.theta_from, args.theta_to, args.step)
-    geometry_mod.check_window(geom, trajectory.samples, args.strict)
+    geometry_mod.check_window(geom, trajectory.ends, args.strict)
 
     trace = geometry_mod.fk_trace(geom, trajectory)
     out_path = run.write(
@@ -293,6 +305,7 @@ def cmd_simulate_slide(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry)
     trace = simulate_slide(geom, from_dict(SlideConfig, block, "slide config"))
 
     run.write("slide_trace.csv", lambda stream: write_slide_trace_csv(trace, stream))
+    # Made by the writer's pass over the trace's chunks, so read without another.
     summary = {
         "surface_y_mm": trace.surface_y_mm,
         "contact_theta": trace.contact_theta,

@@ -12,10 +12,13 @@ labeling choice.
 Every chain function takes a scalar or a numpy array of angles, is
 vectorized elementwise and checks no operating window, which the sliding
 regime exceeds; only check_window checks it, and only it warns.  All
-functions are safe to call concurrently.  Trajectories and traces hold
-read-only float64 columns; write_columns writes every trace, in one
-process, with the leading float columns of a large one's chunks formatted
-by one orjson call per chunk.
+functions are safe to call concurrently.  A Sweep and the traces made
+along it are made CSV_CHUNK_ROWS rows at a time, so that writing one holds
+a chunk, not the sweep; the chain is elementwise, so a chunk has the bits
+of the same rows of the whole array.  Held columns are read-only float64
+arrays.  write_columns writes every trace, in one process, with the
+leading float columns of a large one's chunks formatted by one orjson call
+per chunk.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .inputs import from_dict, read_package_json
 
 __all__ = [
     "DEFAULT_STEP", "FingerState", "GripperGeometry", "MotorTrajectory",
-    "OperatingRangeWarning", "Trace", "aperture", "aperture_window", "base_length",
+    "OperatingRangeWarning", "Sweep", "Trace", "aperture", "aperture_window", "base_length",
     "default_geometry", "fingertip_angle", "fingertip_height", "fingertip_jacobian",
     "fingertip_positions", "fk_trace", "forward_kinematics", "inverse_kinematics",
     "sample_trajectory", "slider_coordinate", "slider_displacement", "tip_height",
@@ -60,7 +63,8 @@ MAX_TRAJECTORY_SAMPLES = 10_000_000
 # enough that no square of a length, or of a sum of two, overflows a float.
 MAX_LENGTH_MM = math.sqrt(sys.float_info.max) / 4
 
-# Rows write_columns formats and writes per stream.write call.
+# Rows a Sweep and its traces are made in, and write_columns formats and
+# writes per stream.write call.
 CSV_CHUNK_ROWS = 1024
 
 # Fewest cells of a table for which write_columns formats floats with orjson.
@@ -205,27 +209,133 @@ class MotorTrajectory:
     def __iter__(self):
         return iter(self.samples.tolist())
 
+    @property
+    def ends(self) -> tuple[float, float]:
+        return float(self.samples[0]), float(self.samples[-1])
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The samples, CSV_CHUNK_ROWS at a time."""
+        rows = CSV_CHUNK_ROWS
+        return (self.samples[lo:lo + rows] for lo in range(0, len(self), rows))
+
 
 @dataclass(frozen=True)
-class Trace:
-    """Per-sample rows held as columns.
+class Sweep:
+    """Inclusive monotone sampling from theta_from to theta_to, whose samples
+    are made a chunk at a time: theta_from + k*step toward theta_to, the last
+    sample clamped to theta_to exactly.
 
-    columns is a NamedTuple of equal-length arrays, one per field of the
-    row type (float64, or str for a label); they are made read-only.
-    records builds the rows themselves, one row type instance of Python
-    scalars per sample, on first use.
+    chunks() makes them CSV_CHUNK_ROWS at a time, each checked strictly
+    monotone, also across its edge with the chunk before; samples joins
+    them, read-only, on first use.  Raises InvalidRangeError for non-finite
+    bounds or step, a zero span, a non-positive step or more than
+    MAX_TRAJECTORY_SAMPLES full-step samples.
     """
 
-    columns: tuple
+    theta_from: float
+    theta_to: float
+    step: float = DEFAULT_STEP
+    rows: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for column in self.columns:
-            column.flags.writeable = False
+        if not all(map(math.isfinite, (self.theta_from, self.theta_to, self.step))):
+            raise InvalidRangeError(
+                f"bounds and step must be finite, got {self.theta_from}, {self.theta_to}, "
+                f"{self.step}"
+            )
+        if self.step <= 0:
+            raise InvalidRangeError(f"step must be positive, got {self.step}")
+        span = self.theta_to - self.theta_from
+        if span == 0:
+            raise InvalidRangeError("theta_from and theta_to are equal")
+        steps = abs(span) / self.step + 1e-9
+        if steps >= MAX_TRAJECTORY_SAMPLES:
+            raise InvalidRangeError(
+                f"step {self.step} over [{self.theta_from}, {self.theta_to}] needs more than "
+                f"{MAX_TRAJECTORY_SAMPLES} samples"
+            )
+        # The last full step either lands on theta_to, which replaces it, or
+        # falls short of it, and theta_to follows.
+        n_full = int(math.floor(steps))
+        clamped = abs(self.theta_from + self._stride * n_full - self.theta_to) <= 1e-12
+        object.__setattr__(self, "rows", n_full + (1 if clamped else 2))
 
-    __eq__ = eq_by_value
+    @property
+    def _stride(self) -> float:
+        return (1.0 if self.theta_to > self.theta_from else -1.0) * self.step
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return self.rows
+
+    def __iter__(self):
+        return iter(self.samples.tolist())
+
+    @property
+    def ends(self) -> tuple[float, float]:
+        return self.theta_from, self.theta_to
+
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo to hi - 1: the bits of the same rows of the whole arange."""
+        theta = self.theta_from + self._stride * np.arange(lo, hi)
+        if hi == self.rows:
+            theta[-1] = self.theta_to
+        return theta
+
+    def last_chunk(self) -> np.ndarray:
+        """The chunk that chunks() ends with, made alone."""
+        return self._block((self.rows - 1) // CSV_CHUNK_ROWS * CSV_CHUNK_ROWS, self.rows)
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        rows, before = CSV_CHUNK_ROWS, None
+        for lo in range(0, self.rows, rows):
+            theta = self._block(lo, min(lo + rows, self.rows))
+            steps = np.diff(theta) if before is None else np.diff(theta, prepend=before)
+            if not np.all(steps > 0 if self._stride > 0 else steps < 0):
+                raise InvalidRangeError("trajectory samples must be strictly monotone")
+            before = theta[-1]
+            yield theta
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        samples = np.concatenate(list(self.chunks()))
+        samples.flags.writeable = False
+        return samples
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Per-sample rows, made a chunk at a time.
+
+    chunks() makes the chunks afresh on each call, so that a writer holds
+    one at a time: NamedTuples of equal-length arrays, one per field of the
+    row type (float64, or str for a label), CSV_CHUNK_ROWS rows each for a
+    trace made along a trajectory.  rows is their total, known before any
+    is made.  columns joins them, read-only, and records builds the rows
+    themselves, one row type instance of Python scalars per sample, each on
+    first use.  Traces are equal when their columns and other fields are.
+    """
+
+    rows: int
+    chunks: Callable[[], Iterator[tuple]]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return _same(self.columns, other.columns) and all(
+            _same(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self) if f.name not in ("rows", "chunks"))
+
+    def __len__(self) -> int:
+        return self.rows
+
+    @cached_property
+    def columns(self) -> tuple:
+        chunks = list(self.chunks())
+        columns = (chunks[0] if len(chunks) == 1
+                   else type(chunks[0])(*map(np.concatenate, zip(*chunks))))
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
     @cached_property
     def records(self) -> tuple:
@@ -233,8 +343,9 @@ class Trace:
 
 
 def check_window(geom: GripperGeometry, theta: FloatOrArray, strict: bool = False) -> None:
-    """Operating-window check of a scalar or array theta: emits
-    OperatingRangeWarning, or raises DomainError when strict."""
+    """Operating-window check of a scalar or array theta (of a monotone
+    trajectory, its two ends suffice): emits OperatingRangeWarning, or
+    raises DomainError when strict."""
     lo, hi = float(np.min(theta)), float(np.max(theta))
     if geom.theta_closed <= lo and hi <= geom.theta_open:
         return
@@ -243,6 +354,20 @@ def check_window(geom: GripperGeometry, theta: FloatOrArray, strict: bool = Fals
     if strict:
         raise DomainError(msg)
     warnings.warn(msg, OperatingRangeWarning, stacklevel=2)
+
+
+def check_domain(geom: GripperGeometry, trajectory: MotorTrajectory | Sweep) -> None:
+    """Raise the DomainError that fingertip_angle raises on the whole
+    trajectory, before any chunk of a trace along it is made or written.
+
+    GripperGeometry proves b <= 2*l on [slide_floor, theta_open], so only a
+    trajectory that leaves that range takes this pass, over the base length
+    alone."""
+    lo, hi = sorted(trajectory.ends)
+    if geom.slide_floor <= lo and hi <= geom.theta_open:
+        return
+    _base_ratio(geom, max(float(np.max(base_length(geom, slider_displacement(geom, theta))))
+                          for theta in trajectory.chunks()))
 
 
 def slider_coordinate(geom: GripperGeometry, theta: FloatOrArray) -> FloatOrArray:
@@ -271,6 +396,12 @@ def fingertip_angle(geom: GripperGeometry, delta: FloatOrArray, b: FloatOrArray)
     Raises DomainError when b > 2*l (no isosceles triangle with leg l has
     that base) or b <= 0.
     """
+    ratio = _base_ratio(geom, b)
+    return np.arcsin(delta / b) + np.arccos(ratio)
+
+
+def _base_ratio(geom: GripperGeometry, b: FloatOrArray) -> FloatOrArray:
+    """b / (2*l), or DomainError where no isosceles triangle with leg l has base b."""
     if np.any(b <= 0):
         raise DomainError(f"base length must be positive, got {np.min(b)}")
     ratio = b / (2 * geom.l)
@@ -279,7 +410,7 @@ def fingertip_angle(geom: GripperGeometry, delta: FloatOrArray, b: FloatOrArray)
             f"base length {np.max(b):.6f} exceeds 2*l = {2 * geom.l:.6f}; "
             "fingertip angle undefined"
         )
-    return np.arcsin(delta / b) + np.arccos(ratio)
+    return ratio
 
 
 def fingertip_positions(
@@ -395,42 +526,20 @@ def sample_trajectory(
     theta_from: float,
     theta_to: float,
     step: float = DEFAULT_STEP,
-) -> MotorTrajectory:
-    """Inclusive monotone sampling from theta_from to theta_to.
-
-    The final sample is clamped to theta_to exactly.  Raises
-    InvalidRangeError for non-finite bounds or step, a zero span, a
-    non-positive step or more than MAX_TRAJECTORY_SAMPLES full-step samples.
-    """
-    if not all(map(math.isfinite, (theta_from, theta_to, step))):
-        raise InvalidRangeError(
-            f"bounds and step must be finite, got {theta_from}, {theta_to}, {step}"
-        )
-    if step <= 0:
-        raise InvalidRangeError(f"step must be positive, got {step}")
-    span = theta_to - theta_from
-    if span == 0:
-        raise InvalidRangeError("theta_from and theta_to are equal")
-    steps = abs(span) / step + 1e-9
-    if steps >= MAX_TRAJECTORY_SAMPLES:
-        raise InvalidRangeError(
-            f"step {step} over [{theta_from}, {theta_to}] needs more than "
-            f"{MAX_TRAJECTORY_SAMPLES} samples"
-        )
-
-    direction = 1.0 if span > 0 else -1.0
-    n_full = int(math.floor(steps))
-    samples = theta_from + direction * step * np.arange(n_full + 1)
-    if abs(samples[-1] - theta_to) <= 1e-12:
-        samples[-1] = theta_to
-    else:
-        samples = np.append(samples, theta_to)
-    return MotorTrajectory(samples=samples, step=step)
+) -> Sweep:
+    """Inclusive monotone sampling from theta_from to theta_to, at least two
+    samples, the last clamped to theta_to exactly: a Sweep, which checks its
+    arguments and makes no sample until one is read."""
+    return Sweep(theta_from, theta_to, step)
 
 
-def fk_trace(geom: GripperGeometry, trajectory: MotorTrajectory) -> Trace:
-    """Forward kinematics along a trajectory: a FingerState of columns."""
-    return Trace(forward_kinematics(geom, trajectory.samples))
+def fk_trace(geom: GripperGeometry, trajectory: MotorTrajectory | Sweep) -> Trace:
+    """Forward kinematics along a trajectory: a Trace of FingerState chunks,
+    one per chunk of the trajectory.  A trajectory on which the chain is
+    undefined raises DomainError here, before any chunk is made."""
+    check_domain(geom, trajectory)
+    return Trace(len(trajectory),
+                 lambda: map(partial(forward_kinematics, geom), trajectory.chunks()))
 
 
 def _is_positional(block: np.ndarray) -> bool:
@@ -461,30 +570,36 @@ def _chunk_text(columns: Sequence[np.ndarray], dumps) -> str:
     return "\n".join(map(",".join, zip(*texts))) + "\n"
 
 
-def write_columns(header: str, columns: Sequence[np.ndarray], stream: IO[str]) -> None:
-    """Write equal-length columns as CSV rows under ``header``.
+def write_columns(header: str, chunks: Iterable[Sequence[np.ndarray]], rows: int,
+                  stream: IO[str]) -> None:
+    """Write a table of ``rows`` rows, given as chunks of equal-length
+    columns, as CSV rows under ``header``.
 
-    A float64 value is written as float.__repr__ writes it: the shortest
-    text that reads back to the same value.  Any other column holds
-    strings, written as they are.  Rows go to ``stream`` CSV_CHUNK_ROWS at a
-    time, so the text of the whole table is never held at once.
+    Each chunk is taken when the one before it is written, so a trace's
+    chunks are made as they are written.  A float64 value is written as
+    float.__repr__ writes it: the shortest text that reads back to the same
+    value.  Any other column holds strings, written as they are.  Rows go
+    to ``stream`` at most CSV_CHUNK_ROWS at a time, so the text of the whole
+    table is never held at once.
 
-    A table of at least ORJSON_MIN_CELLS cells formats each chunk's leading
-    float64 columns with one orjson.dumps call, whose shortest round-trip
-    digits are those of float.__repr__, and joins each row of its text to
-    the row's other cells.  Only a block whose every value is zero or of a
-    magnitude in [1e-4, 1e16) takes that path, where both write positional
-    notation; any other chunk (NaN, +-inf, a tiny or huge value) is written
-    with float.__repr__, so the bytes are the same either way.
+    A table of at least ORJSON_MIN_CELLS cells (``rows`` times the columns
+    of a chunk) formats each chunk's leading float64 columns with one
+    orjson.dumps call, whose shortest round-trip digits are those of
+    float.__repr__, and joins each row of its text to the row's other cells.
+    Only a block whose every value is zero or of a magnitude in [1e-4, 1e16)
+    takes that path, where both write positional notation; any other chunk
+    (NaN, +-inf, a tiny or huge value) is written with float.__repr__, so
+    the bytes are the same either way.
     """
     dumps = None
-    if len(columns[0]) * len(columns) >= ORJSON_MIN_CELLS:
-        import orjson  # here, so that a small table never pays its ~8 ms import
-
-        dumps = partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
     stream.write(header + "\n")
-    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        stream.write(_chunk_text([c[lo:lo + CSV_CHUNK_ROWS] for c in columns], dumps))
+    for columns in chunks:
+        if dumps is None and rows * len(columns) >= ORJSON_MIN_CELLS:
+            import orjson  # here, so that a small table never pays its ~8 ms import
+
+            dumps = partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
+        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            stream.write(_chunk_text([c[lo:lo + CSV_CHUNK_ROWS] for c in columns], dumps))
 
 
 FK_TRACE_HEADER = "theta,y_b,delta,b,alpha,x_left,x_right,y_tip"
@@ -492,7 +607,7 @@ FK_TRACE_HEADER = "theta,y_b,delta,b,alpha,x_left,x_right,y_tip"
 
 def write_fk_trace_csv(trace: Trace, stream: IO[str]) -> None:
     """Write an fk_trace result as CSV with the standard trace header."""
-    write_columns(FK_TRACE_HEADER, trace.columns, stream)
+    write_columns(FK_TRACE_HEADER, trace.chunks(), len(trace), stream)
 
 
 def default_geometry() -> GripperGeometry:

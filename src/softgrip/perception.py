@@ -26,6 +26,7 @@ from .errors import (
     EmptyCloudError,
     FrameMismatchError,
     InvalidPoseError,
+    InvariantViolationError,
     ObjectTooLargeError,
     ParseError,
 )
@@ -617,7 +618,9 @@ def estimate_object(cloud: PointCloud,
     Per axis the [p, 1-p] percentile range defines the extent; the centroid
     is the mean of the points retained inside all three ranges.  With
     trim_fraction 0 this is the exact bounding box.  Ties for the dominant
-    axis break deterministically X before Y before Z.
+    axis break deterministically X before Y before Z.  Raises
+    InvariantViolationError when an extent or the centroid of finite points
+    is past the float range.
     """
     if not 0 <= trim_fraction < 0.5:
         raise ConfigError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
@@ -625,20 +628,26 @@ def estimate_object(cloud: PointCloud,
         raise EmptyCloudError("cannot estimate an empty cloud")
 
     pts = cloud.points
-    if trim_fraction == 0.0:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-    else:  # per axis from one column copy, which the partition may reorder
-        q = [100 * trim_fraction, 100 * (1 - trim_fraction)]
-        lo, hi = np.array([percentiles(pts[:, k].copy(), q) for k in range(3)]).T
-    mask = np.all((pts >= lo) & (pts <= hi), axis=1)
-    count = int(np.count_nonzero(mask))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        if trim_fraction == 0.0:
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+        else:  # per axis from one column copy, which the partition may reorder
+            q = [100 * trim_fraction, 100 * (1 - trim_fraction)]
+            lo, hi = np.array([percentiles(pts[:, k].copy(), q) for k in range(3)]).T
+        extents = hi - lo
+        mask = np.all((pts >= lo) & (pts <= hi), axis=1)
+        count = int(np.count_nonzero(mask))
+        # The mean of the retained rows without a copy of them: numpy sums axis 0
+        # of a C-order array row by row, as it does for pts[mask].mean(axis=0).
+        centroid = np.add.reduce(pts, axis=0, where=mask[:, None]) / max(count, 1)
+    if not (np.isfinite(extents).all() and np.isfinite(centroid).all()):
+        raise InvariantViolationError(
+            f"the points span past the float range: extents {tuple(extents.tolist())}, "
+            f"centroid {tuple(centroid.tolist())}"
+        )
     if count == 0:
         raise EmptyCloudError("no points remain after trimming")
 
-    extents = hi - lo
-    # The mean of the retained rows without a copy of them: numpy sums axis 0
-    # of a C-order array row by row, as it does for pts[mask].mean(axis=0).
-    centroid = np.add.reduce(pts, axis=0, where=mask[:, None]) / count
     dominant = AXIS_NAMES[int(np.argmax(extents))]
     return ObjectEstimate(
         centroid=tuple(float(v) for v in centroid),

@@ -24,6 +24,7 @@ from .errors import ConfigError, ObjectTooLargeError, SurfaceConflictError
 from .geometry import (
     GripperGeometry,
     MotorTrajectory,
+    Sweep,
     aperture_window,
     eq_by_value,
     forward_kinematics,
@@ -61,7 +62,7 @@ class GraspPlan:
     """
 
     approach: str
-    motor_trajectory: MotorTrajectory
+    motor_trajectory: MotorTrajectory | Sweep
     arm_compensation_mm: np.ndarray
     residual_uncompensated: float
     target_theta: float
@@ -272,5 +273,5 @@ PLAN_TRAJECTORY_HEADER = "theta,arm_compensation_mm"
 
 def write_plan_csv(plan: GraspPlan, stream: IO[str]) -> None:
     """Write the compensation trajectory as CSV."""
-    write_columns(PLAN_TRAJECTORY_HEADER,
-                  (plan.motor_trajectory.samples, plan.arm_compensation_mm), stream)
+    columns = (plan.motor_trajectory.samples, plan.arm_compensation_mm)
+    write_columns(PLAN_TRAJECTORY_HEADER, [columns], len(plan.motor_trajectory), stream)

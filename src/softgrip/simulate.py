@@ -6,15 +6,20 @@ The contact model is a kinematic clamp: when the ideal fingertip would
 pass the support surface, the penetration is absorbed as finger bend and
 the simulated tip rides the surface.  The flex signal is affine in the
 running maximum of the bend, so it never decreases while contact develops
-and settles once the gripper closes.  Every stochastic term is driven by
-an explicit seed; the default simulation is fully deterministic.
+and settles once the gripper closes.  That state is causal, so the slide
+trace is made a chunk at a time along its Sweep, each chunk from the state
+the chunks before it leave, and a writer holds one chunk of it.  Every
+stochastic term is driven by an explicit seed; the default simulation is
+fully deterministic.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import IO, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +29,9 @@ from .geometry import (
     GripperGeometry,
     MotorTrajectory,
     OperatingRangeWarning,
+    Sweep,
     Trace,
+    check_domain,
     forward_kinematics,
     sample_trajectory,
     tip_height,
@@ -86,7 +93,7 @@ class FreeRecord(NamedTuple):
 
 def simulate_free(
     geom: GripperGeometry,
-    trajectory: MotorTrajectory,
+    trajectory: MotorTrajectory | Sweep,
     perturbation: PerturbationModel = PerturbationModel(),
 ) -> Trace:
     """Free (contactless) motion of the left fingertip along a trajectory: a
@@ -117,7 +124,8 @@ def simulate_free(
         noise = np.clip(rng.normal(0.0, sd, (len(theta), 2)), -4 * sd, 4 * sd)
         x_sim = x_sim + noise[:, 0]
         y_sim = y_sim + noise[:, 1]
-    return Trace(FreeRecord(theta, theta_eff, model.x_left, model.y_tip, x_sim, y_sim))
+    columns = FreeRecord(theta, theta_eff, model.x_left, model.y_tip, x_sim, y_sim)
+    return Trace(len(theta), lambda: iter((columns,)))
 
 
 @dataclass(frozen=True)
@@ -157,10 +165,14 @@ class SlideRecord(NamedTuple):
     phase: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlideTrace(Trace):
-    """Per-step sliding-contact columns (a SlideRecord of arrays) plus run
-    summary.
+    """Per-step sliding-contact rows (SlideRecord chunks) plus run summary.
+
+    The summary (contact_theta, closure_theta, peak_bend and warnings) is
+    known once the last chunk is made: a writer's pass over the chunks
+    stores it in ``outcome``, and reading it before any pass has reached
+    the end builds the columns.
 
     Invariants: y_sim = min(y_free, surface) at every step; phases occur
     in the order approach -> sliding -> closed with each possibly empty;
@@ -168,10 +180,18 @@ class SlideTrace(Trace):
     """
 
     surface_y_mm: float
-    contact_theta: Optional[float]
-    closure_theta: float
-    peak_bend: float
-    warnings: tuple[str, ...] = ()
+    outcome: dict
+
+    @property
+    def _summary(self) -> dict:
+        if not self.outcome:
+            self.columns  # makes every chunk, the last of which fills it
+        return self.outcome
+
+    contact_theta = property(lambda self: self._summary["contact_theta"])  # None: no contact
+    closure_theta = property(lambda self: self._summary["closure_theta"])
+    peak_bend = property(lambda self: self._summary["peak_bend"])
+    warnings = property(lambda self: self._summary["warnings"])  # a tuple of str
 
 
 def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
@@ -182,7 +202,8 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
     the simulated tip stays on the surface.  The run ends closed at
     theta_to; if sliding ends earlier (the ideal tip retreats off the
     surface) the trace is closed from that sample on.  A run that never
-    touches the surface carries a "no_contact" warning.
+    touches the surface carries a "no_contact" warning.  No row is made
+    here: the trace makes its chunks as they are read.
     """
     floor = geom.slide_floor
     if cfg.theta_from > geom.theta_open + 1e-12 or cfg.theta_to < floor - 1e-12:
@@ -194,36 +215,61 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
         )
 
     trajectory = sample_trajectory(geom, cfg.theta_from, cfg.theta_to, cfg.step)
-    theta = trajectory.samples
-    y_free = tip_height(geom, theta)
-    # The last sample is theta_to exactly, so its tip height is the default surface.
-    surface = cfg.surface_y_mm if cfg.surface_y_mm is not None else float(y_free[-1])
-    y_sim = np.minimum(y_free, surface)
-    bend = y_free - y_sim
-    touching = bend > 0.0
+    check_domain(geom, trajectory)
+    surface = cfg.surface_y_mm
+    if surface is None:
+        # The last sample is theta_to exactly, so its tip height is the
+        # default surface: from the last chunk, as the trace will make it.
+        surface = float(tip_height(geom, trajectory.last_chunk())[-1])
+    outcome: dict = {}
+    return SlideTrace(len(trajectory), partial(_slide_chunks, geom, cfg, trajectory, surface,
+                                               outcome), surface, outcome)
 
-    # Closed from the first zero bend after contact, else at the last sample.
-    contacted = np.logical_or.accumulate(touching)
-    released = np.flatnonzero(contacted & ~touching)
-    closure = int(released[0]) if len(released) else len(theta) - 1
 
-    # The running maximum of the bend, made the flex signal in place: x * gain
-    # + offset has the bits of offset + gain * x.
-    flex = np.maximum.accumulate(bend)
-    flex[closure:] = flex[closure]
-    flex *= cfg.flex_gain
-    flex += cfg.flex_offset
-    phase = touching.astype(np.int8)
-    phase[closure:] = PHASES.index(PHASE_CLOSED)
+def _slide_chunks(geom: GripperGeometry, cfg: SlideConfig, trajectory: Sweep, surface: float,
+                  outcome: dict) -> Iterator[SlideRecord]:
+    """The slide trace's chunks, one per chunk of the trajectory.  The state
+    carried from chunk to chunk is the running maximum of the bend, the first
+    contact, and the flex held from closure on; the summary goes into
+    ``outcome`` once the last chunk is made."""
+    peak, held = -math.inf, None
+    contact_theta = closure_theta = None
+    made = 0
+    for theta in trajectory.chunks():
+        made += len(theta)
+        y_free = tip_height(geom, theta)
+        y_sim = np.minimum(y_free, surface)
+        bend = y_free - y_sim
+        touching = bend > 0.0
+        # The running maximum of the bend so far, which the flex signal holds.
+        flex = np.maximum.accumulate(bend)
+        np.maximum(flex, peak, out=flex)
+        peak = flex[-1]
 
-    return SlideTrace(
-        SlideRecord(theta, y_free, y_sim, bend, flex, np.array(PHASES, dtype=object)[phase]),
-        surface_y_mm=surface,
-        contact_theta=float(theta[np.argmax(touching)]) if contacted[-1] else None,
-        closure_theta=float(theta[closure]),
-        peak_bend=float(bend.max()),
-        warnings=() if contacted[-1] else ("no_contact",),
-    )
+        # Closed from the first zero bend after contact, else at the last sample.
+        closure = None if held is None else 0
+        if held is None:
+            contacted = np.logical_or.accumulate(touching) | (contact_theta is not None)
+            released = np.flatnonzero(contacted & ~touching)
+            if len(released) or made == len(trajectory):
+                closure = int(released[0]) if len(released) else len(theta) - 1
+                closure_theta, held = float(theta[closure]), flex[closure]
+        if contact_theta is None and touching.any():
+            contact_theta = float(theta[np.argmax(touching)])
+
+        # Made the flex signal in place: x * gain + offset has the bits of
+        # offset + gain * x.
+        phase = touching.astype(np.int8)
+        if closure is not None:
+            flex[closure:] = held
+            phase[closure:] = PHASES.index(PHASE_CLOSED)
+        flex *= cfg.flex_gain
+        flex += cfg.flex_offset
+        yield SlideRecord(theta, y_free, y_sim, bend, flex, np.array(PHASES, dtype=object)[phase])
+
+    outcome.update(contact_theta=contact_theta, closure_theta=closure_theta,
+                   peak_bend=float(peak),
+                   warnings=() if contact_theta is not None else ("no_contact",))
 
 
 DIRECTION_DESCEND = "descend"
@@ -262,4 +308,4 @@ SLIDE_TRACE_HEADER = "theta,y_free,y_sim,bend,flex,phase"
 
 
 def write_slide_trace_csv(trace: SlideTrace, stream: IO[str]) -> None:
-    write_columns(SLIDE_TRACE_HEADER, trace.columns, stream)
+    write_columns(SLIDE_TRACE_HEADER, trace.chunks(), len(trace), stream)

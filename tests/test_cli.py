@@ -137,6 +137,58 @@ def test_ctrl_c_exits_130_with_one_line_and_no_traceback(tmp_path, monkeypatch, 
     assert not (tmp_path / "run").exists()
 
 
+def _stops_midway(error):
+    def write(trace, stream):
+        stream.write("theta\n")
+        raise error
+    return write
+
+
+@pytest.mark.parametrize("error, code", [(KeyboardInterrupt, 130), (MemoryError, 7)])
+def test_a_write_that_stops_midway_leaves_no_run_directory(tmp_path, monkeypatch, capsys,
+                                                           error, code):
+    monkeypatch.setattr(geometry, "write_fk_trace_csv", _stops_midway(error))
+    out = tmp_path / "new" / "run"  # both directories made by the write
+    assert run_cli("fk", "--from", -0.8, "--to", -1.4, "--out", out) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_write_that_stops_midway_keeps_a_directory_it_did_not_make(tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "write_fk_trace_csv", _stops_midway(KeyboardInterrupt))
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert run_cli("fk", "--from", -0.8, "--to", -1.4, "--out", out) == 130
+    assert [path.name for path in out.iterdir()] == ["notes.txt"]
+
+
+# Runs main in a child whose files may grow to argv[1] bytes.  SIGXFSZ is
+# ignored, so a write past the limit fails with EFBIG instead of killing the
+# child.  The limit is the child's own.
+FILE_SIZE_CAPPED = """
+import resource, signal, sys
+from softgrip.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE and SIGXFSZ as on Linux")
+def test_a_trace_write_that_fails_partway_leaves_no_run_directory(tmp_path):
+    # A 1e-6 rad sweep is ~80 MB of text; the write fails past its first MiB.
+    out = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-c", FILE_SIZE_CAPPED, str(2**20), "fk",
+                           "--from", "-0.8", "--to", "-1.4", "--step", "1e-6", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"softgrip: cannot write {out / 'fk_trace.csv'}: [Errno 27] ")
+    assert not out.exists()
+
+
 def test_fk_conflicting_arguments_exit_2(tmp_path):
     rc = run_cli("fk", "--theta", -0.8, "--from", -0.8, "--to", -1.4,
                  "--out", tmp_path / "run")
@@ -769,6 +821,20 @@ def test_a_pose_that_takes_a_point_past_the_float_range_exits_2_and_names_its_cl
     assert run_cli("estimate", "--manifest", manifest, "--out", out) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"softgrip: {tmp_path / 'far.xyz'}: the transform takes a point past the float range"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trim", ["0", "0.02"])
+def test_extents_past_the_float_range_exit_2_and_blame_the_points(tmp_path, capsys, trim):
+    # Two finite records whose x range overflows: the input is at fault, not
+    # the estimate.json that could not hold an infinite extent.
+    (tmp_path / "wide.xyz").write_text("1.7e308 1 1\n-1.7e308 2 2\n")
+    manifest = write_manifest(tmp_path, [{"cloud": "wide.xyz", "transform": IDENTITY}])
+    out = tmp_path / "run"
+    assert run_cli("estimate", "--manifest", manifest, "--trim", trim, "--out", out) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("softgrip: the points span past the float range: extents (")
+    assert "estimate.json" not in line
     assert not out.exists()
 
 

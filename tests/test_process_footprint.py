@@ -94,17 +94,31 @@ print(run - base)
 """
 
 
+def added_peak_kib(tmp_path, *args) -> int:
+    """KiB that running main on args adds to the peak RSS of importing softgrip.cli."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, SRC, *args,
+                           "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout.splitlines()[-1])
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, from the child's own exec")
 def test_a_fine_slide_holds_little_more_than_its_columns(tmp_path):
-    # 110,001 samples: six columns of 0.88 MB (theta, y_free, y_sim, bend,
-    # flex and the phase labels' pointers), 5.3 MB, held while the writer
-    # formats 1,024 rows at a time, and ~1.7 MB that any small run adds to
-    # the interpreter (9.1-9.3 MB in all when the slide built the whole chain,
-    # and the writer 4,096 rows).
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, SRC, "simulate-slide",
-                           "--step", "1e-5", "--out", str(tmp_path / "run")],
-                          capture_output=True, text=True, check=True)
-    assert int(proc.stdout.splitlines()[-1]) < 8 * 1024
+    # 110,001 samples, made and written 1,024 rows at a time: one chunk of
+    # the six columns and its text, the orjson import and what any small run
+    # adds to the interpreter, ~1.9 MiB.  Holding the six columns for the
+    # whole sweep (0.88 MB each) read ~7.3 MiB.
+    assert added_peak_kib(tmp_path, "simulate-slide", "--step", "1e-5") < 3 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, from the child's own exec")
+@pytest.mark.parametrize("args", [["fk", "--from", "-0.8", "--to", "-1.4"], ["simulate-slide"]],
+                         ids=lambda args: args[0])
+def test_a_trace_at_a_millionth_of_a_radian_holds_one_chunk(tmp_path, args):
+    # 600,001 fk rows or 1,100,001 slide rows: the peak does not grow with
+    # the step, ~1.7-1.9 MiB as at 1e-5 rad, where holding every column read
+    # 43 MiB (fk) and 56 MiB (slide).
+    assert added_peak_kib(tmp_path, *args, "--step", "1e-6") < 3 * 1024
 
 
 # Runs main on the arguments in a child whose address space is capped at its

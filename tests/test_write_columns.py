@@ -87,7 +87,7 @@ def written(header, columns, chunk=CSV_CHUNK_ROWS, cells=ORJSON_MIN_CELLS):
     stream = io.StringIO()
     with mock.patch.object(geometry, "CSV_CHUNK_ROWS", chunk), \
             mock.patch.object(geometry, "ORJSON_MIN_CELLS", cells):
-        write_columns(header, columns, stream)
+        write_columns(header, [columns], len(columns[0]), stream)
     return stream.getvalue()
 
 

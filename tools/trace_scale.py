@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fresh-process `fk` and `simulate-slide` sweeps at 1e-3, 1e-5 and 1e-6 rad steps, and `plan`.
+"""Fresh-process `fk` and `simulate-slide` sweeps at 1e-3 to 1e-7 rad steps, and `plan`.
 
     python3 tools/trace_scale.py                    # working tree against HEAD
     python3 tools/trace_scale.py --base HEAD~1 --repeats 7
@@ -10,17 +10,22 @@ The trace counterpart of tools/ingest_scale.py.  Each case runs
 simulate-slide --step S`` in a fresh interpreter with ``src`` on
 PYTHONPATH, for the working tree and for --base (checked out with ``git
 worktree`` under .bench_work/, or a checkout's directory used as it is),
-the two sides alternated and their order swapped every repeat.  Two more
-cases run each command at 1e-5 rad with ``--geometry``, a copy of the
-shipped geometry JSON, so that an input is read and hashed.  The last case
+the two sides alternated and their order swapped every repeat.  One more
+case runs fk at 1e-7 rad: 6M rows and ~813 MB of CSV, the finest decade
+step the sample cap allows over fk's range (over the slide's it is 11M
+samples, past the cap).  Two more cases run each command at 1e-5 rad with
+``--geometry``, a copy of the shipped geometry JSON, so that an input is
+read and hashed.  The last case
 runs ``softgrip plan --estimate FILE --mass 0.1`` on a small estimate JSON,
 so that all three CSV writers are compared.  The children are started by
 bench/launcher.py, so that ``ru_maxrss`` is the child's own.
 Printed per case and side: the median wall time of the child and the median
 of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Every run of a case, on
 both sides, must write the same files with the same bytes: the CSV,
-``slide_summary.json``, ``plan.json`` and ``run_manifest.json``.  Each run
-directory is removed once its files are hashed, and the worktree at the end.
+``slide_summary.json``, ``plan.json`` and ``run_manifest.json``.  Files are
+hashed a MiB at a time, and each run directory is removed once its files
+are hashed, so that the disk holds one run's files at a time; the worktree
+is removed at the end.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import json
 import shutil
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 from bench_pairs import CLI_CODE, ROOT, WORKTREE, print_medians, worktree
@@ -39,6 +45,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from run import Launcher  # noqa: E402
 
 STEPS = ("1e-3", "1e-5", "1e-6")
+FK_ONLY_STEP = "1e-7"  # 6M fk rows; the slide's 11M are past the sample cap
 # Command arguments before --step.
 COMMANDS = {
     "fk": ["fk", "--from", "-0.8", "--to", "-1.4"],
@@ -63,9 +70,11 @@ def run_case(launcher: Launcher, tree: Path, args: list[str],
                          f"{stderr.read_text()[-300:]}")
     digest = hashlib.sha256()
     for path in sorted(out.iterdir()):
-        data = path.read_bytes()
-        digest.update(b"%s\0%d\0%s" % (path.name.encode(), len(data), data))
-    shutil.rmtree(out)  # a 1e-6 rad trace is ~100 MB of text
+        digest.update(b"%s\0%d\0" % (path.name.encode(), path.stat().st_size))
+        with path.open("rb") as stream:
+            for block in iter(partial(stream.read, 1 << 20), b""):
+                digest.update(block)
+    shutil.rmtree(out)  # a 1e-7 rad fk trace is ~813 MB of text
     return reply["wall"], reply["maxrss_kb"] / 1024, digest.hexdigest()
 
 
@@ -81,6 +90,7 @@ def main(argv=None) -> int:
         geometry = Path(tmp) / "geometry.json"  # one path, as the manifests record it
         shutil.copyfile(ROOT / "src" / "softgrip" / "data" / "geometry_default.json", geometry)
         cases = [[*COMMANDS[command], "--step", step] for command in COMMANDS for step in STEPS]
+        cases.append([*COMMANDS["fk"], "--step", FK_ONLY_STEP])
         cases += [[*COMMANDS[command], "--step", GEOMETRY_STEP, "--geometry", str(geometry)]
                   for command in COMMANDS]
         estimate = Path(tmp) / "estimate.json"
