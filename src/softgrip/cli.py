@@ -202,21 +202,36 @@ def cmd_estimate(args, cfg: RunConfig, run: RunDir, geom: GripperGeometry) -> No
     manifest_path = Path(args.manifest)
     views = load_scene_manifest(run.read_json(manifest_path), f"manifest {manifest_path}")
 
-    # Each view is parsed from its file a block at a time, and cropped as
-    # soon as it is in the global frame; merge_clouds takes the kept points
-    # view by view into one array.  Cropping keeps order point by point, so
-    # this is the crop of the merged views.
+    # Each view is parsed from its file a block at a time, and each block is
+    # put in the global frame and cropped as soon as it is parsed, so a view
+    # is only ever held as its kept points; merge_clouds takes them view by
+    # view into one array.  Transforming and cropping keep order point by
+    # point, so this is the crop of the merged views.
     stage_counts: dict[str, int] = {}
 
     def kept(i: int, cloud_path: Path, pose) -> PointCloud:
+        parsed, far = f"view_{i}_parsed", []
+        stage_counts[parsed] = 0
+
+        def keep(block):
+            stage_counts[parsed] += len(block)
+            try:
+                if not far:
+                    cloud = transform_cloud(PointCloud(block), pose)
+                    return (cloud if roi is None else crop_cloud(cloud, roi)).points
+            except InvalidPoseError as exc:  # raised once the view is parsed, as parse errors come first
+                far.append(str(exc))
+            return block[:0]
+
         # An unreadable cloud raises ConfigError, which names it already.
         with run.open_input(cloud_path) as stream:
             try:
-                cloud = transform_cloud(parse_cloud(stream), pose)
+                cloud = parse_cloud(stream, keep)
+                if far:
+                    raise InvalidPoseError(far[0])
             except (ParseError, InvalidPoseError) as exc:
                 raise type(exc)(f"{cloud_path}: {exc}") from exc
-        stage_counts[f"view_{i}_parsed"] = len(cloud)
-        return cloud if roi is None else crop_cloud(cloud, roi)
+        return cloud
 
     # A generator of calls, so that no view is held once merge_clouds has it.
     each = (kept(i, manifest_path.parent / cloud_rel, pose)

@@ -287,6 +287,7 @@ def _lines(lines: Iterable[bytes]) -> Iterator[str]:
 
 
 _JSON_CHUNK_BYTES = 1 << 17  # the read block; bounds the tier's transient copies (5 or 6 times)
+_LINE_ROWS = 1 << 12  # the rows float() reads into one block
 _NUMBER_BYTES = b"0123456789.eE+-"
 _SIGN = re.compile(rb"\+(?<![^ \t\n]\+)(?=[0-9])")  # a "+" that starts a token, before a digit
 
@@ -434,8 +435,8 @@ class _Source:
             self._more()
 
 
-def _json_rows(source: _Source, out: _Rows) -> int:
-    """Append to out the rows orjson converts from source's chunks, one call
+def _json_rows(source: _Source, add: Callable[[np.ndarray], None]) -> int:
+    """Pass to add the rows orjson converts from source's chunks, one call
     per chunk, and return the number of "\n"-lines they span; source stays
     at the first chunk refused.  A chunk is taken only where that gives
     float()'s doubles:
@@ -467,50 +468,76 @@ def _json_rows(source: _Source, out: _Rows) -> int:
             break
         if not np.isfinite(block).all() or not block.all() and b",-0," in b",%b," % text:
             break
-        out.append(block)
+        add(block)
         lines += count
     return lines
 
 
-def _records(source: _Source) -> np.ndarray:
-    """The points of the records of a view: the header read line by line,
-    then _json_rows from the first record's "\n"-line, then float() line by
-    line from the first chunk it refuses, all into one _Rows."""
+def _records(source: _Source, keep: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """What keep returns of the points of a view's records, all in one
+    _Rows: the header read line by line, then _json_rows from the first
+    record's "\n"-line, then float() line by line, _LINE_ROWS rows at a
+    time, from the first chunk it refuses.  keep gets the parsed rows in
+    order, each once, in blocks of two rows or more unless the view has
+    only one: BLAS gives a lone row (gemv) other bits than the same row of
+    a longer array (gemm).  So parsed blocks are held, and joined, until
+    two rows or more are held and a block of two rows or more follows."""
     records = _meaningful_lines(_lines(source.lines()))
     declared, first = _read_header(records)
-    out, head = _Rows(), [first] if first else []
+    out, head, held, parsed = _Rows(), [first] if first else [], [], 0
+
+    def add(block: np.ndarray) -> None:
+        nonlocal parsed
+        if len(block) > 1 and parsed > 1:  # then the held blocks have two rows or more
+            flush()
+        held.append(block)
+        parsed += len(block)
+
+    def flush() -> None:
+        out.append(keep(held[0] if len(held) == 1 else np.concatenate(held)))
+        held.clear()
+
     if first:
         after, source.pos = source.pos, source.start  # the first record's "\n"-line
-        lines = _json_rows(source, out)
+        lines = _json_rows(source, add)
         if lines:  # the per-line loop resumes at the refused chunk, numbered on from the first record
             head, records = [], _meaningful_lines(_lines(source.lines()), first[0] + lines)
         else:  # nothing taken: read on after the first record, where the header reader stopped
             source.pos = after
-    rows = [_parse_xyz_record(line.split(), n) for n, line in itertools.chain(head, records)]
-    if rows:
-        out.append(np.array(rows, dtype=np.float64))
-    if declared is not None and declared[0] != len(out):
+    rows = (_parse_xyz_record(line.split(), n) for n, line in itertools.chain(head, records))
+    while batch := list(itertools.islice(rows, _LINE_ROWS)):
+        add(np.array(batch, dtype=np.float64))
+    if held:
+        flush()
+    if declared is not None and declared[0] != parsed:
         raise ParseError(
-            f"POINTS declares {declared[0]} records but data has {len(out)}",
+            f"POINTS declares {declared[0]} records but data has {parsed}",
             line=declared[1],
         )
     return out.array()
 
 
-def parse_cloud(data: bytes | str | BinaryIO) -> PointCloud:
-    """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame cloud.
+def parse_cloud(data: bytes | str | BinaryIO,
+                keep: Callable[[np.ndarray], np.ndarray] | None = None) -> PointCloud:
+    """Parse ASCII XYZ or the ASCII PCD v0.7 x/y/z subset into a camera-frame
+    cloud, or, given keep, into the global-frame cloud of the rows it keeps.
 
     ``data`` is the view's bytes or text, or a binary file (any object with
-    ``read(n)``) read from its position on, once, a block at a time.  The
-    rows go into one array that grows as they come (_Rows), of which only
-    the written pages count in RSS.
+    ``read(n)``) read from its position on, once, a block at a time.
+    ``keep``, when given, maps each parsed (k, 3) block of camera-frame
+    rows to the global-frame rows kept of it, judging each row on its own,
+    as the view's pose and crop do; then no array of all the view's parsed
+    rows is ever made.  The rows kept (all, without keep) go into one array
+    that grows as they come (_Rows), of which only the written pages count
+    in RSS.
     Lines come from the bytes alone (_lines).  The leading blank and '#'
     lines and a PCD header through DATA are read once, line by line.  From
     the first record's line on, _json_rows converts chunks of records with
     orjson, and from the first chunk it refuses float() reads the rest line
-    by line; both give the same doubles.  Raises ParseError with the
-    line/column of the first malformed record, or, before any other, the
-    error of bytes that are not UTF-8, wherever they are.
+    by line; both give the same doubles.  POINTS is checked against the
+    records parsed, kept or not.  Raises ParseError with the line/column of
+    the first malformed record, or, before any other, the error of bytes
+    that are not UTF-8, wherever they are.
     """
     if isinstance(data, (bytes, str)):
         raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
@@ -518,10 +545,11 @@ def parse_cloud(data: bytes | str | BinaryIO) -> PointCloud:
     else:
         source = _Source(data.read, True)
     try:
-        return PointCloud(_records(source))
+        points = _records(source, keep or np.asarray)
     except ParseError:
         source.drain()  # the UTF-8 error comes first
         raise
+    return PointCloud(points, CAMERA_FRAME if keep is None else GLOBAL_FRAME)
 
 
 def load_cloud(path) -> PointCloud:

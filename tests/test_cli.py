@@ -824,6 +824,24 @@ def test_a_pose_that_takes_a_point_past_the_float_range_exits_2_and_names_its_cl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tail, error", [
+    (b"0 0 oops\n", "malformed number 'oops' (line 50002, column 3)"),
+    (b"0 0 0\xff\n", "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position"),
+], ids=["malformed", "not utf-8"])
+def test_a_parse_error_after_a_point_past_the_float_range_still_comes_first(
+        tmp_path, capsys, tail, error):
+    # The point past the float range is in the first of three 128 KiB blocks
+    # and the tail in the last, so the point is transformed before the tail
+    # is read; as when a view was parsed whole before it was transformed,
+    # the parse error is reported.
+    (tmp_path / "far.xyz").write_bytes(b"1e308 1e308 1e308\n" + b"0 0 0\n" * 50_000 + tail)
+    pose = np.eye(4)
+    pose[0, 3] = 1e308
+    manifest = write_manifest(tmp_path, [{"cloud": "far.xyz", "transform": pose.ravel().tolist()}])
+    assert run_cli("estimate", "--manifest", manifest, "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.startswith(f"softgrip: {tmp_path / 'far.xyz'}: {error}")
+
+
 @pytest.mark.parametrize("trim", ["0", "0.02"])
 def test_extents_past_the_float_range_exit_2_and_blame_the_points(tmp_path, capsys, trim):
     # Two finite records whose x range overflows: the input is at fault, not

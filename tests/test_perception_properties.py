@@ -8,8 +8,10 @@ decoded text (str.splitlines) line by line, kept here as the reference for
 the line source and for the UTF-8 error.  On every drawn file, at any chunk
 size, and read from bytes or from a file a block at a time, parse_cloud
 must return the same array bit for bit as both, or raise the same
-ParseError at the same line and column.  estimate_object is checked bit for
-bit against the formulas it replaced.
+ParseError at the same line and column.  A view transformed and cropped a
+parsed block at a time must give the bits of the whole view transformed and
+cropped.  estimate_object is checked bit for bit against the formulas it
+replaced.
 """
 
 import hashlib
@@ -23,8 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from softgrip import (EmptyCloudError, ParseError, PointCloud, ScenePose, estimate_object,
-                      parse_cloud, transform_cloud)
+from softgrip import (Box, EmptyCloudError, ParseError, PointCloud, ScenePose, crop_cloud,
+                      estimate_object, parse_cloud, transform_cloud)
 from softgrip import perception
 from softgrip.inputs import HashingReader
 
@@ -393,6 +395,79 @@ def test_transform_matches_strided_product_on_large_views(seed):
     cloud = PointCloud(rng.normal(size=(100_000, 3)))
     expected = cloud.points @ pose.rotation.T + pose.translation
     assert transform_cloud(cloud, pose).points.tobytes() == expected.tobytes()
+
+
+def pose_of(rot, translation) -> ScenePose:
+    mat = np.eye(4)
+    mat[:3, :3] = rot
+    mat[:3, 3] = translation
+    return ScenePose(mat)
+
+
+def keeper(pose, roi):
+    """The keep of estimate: each block put in the global frame and cropped."""
+    def keep(block):
+        cloud = transform_cloud(PointCloud(block), pose)
+        return (cloud if roi is None else crop_cloud(cloud, roi)).points
+    return keep
+
+
+@st.composite
+def boxes(draw):
+    """None, or a box whose faces cut through points within 2e3 of the origin."""
+    if draw(st.integers(0, 4)) == 0:
+        return None
+    corners = [sorted(draw(st.lists(st.floats(-2e3, 2e3), min_size=2, max_size=2, unique=True)))
+               for _ in range(3)]
+    return Box(tuple(lo for lo, _ in corners), tuple(hi for _, hi in corners))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)), elements=st.floats(-1e3, 1e3)),
+    st.integers(0, 41),  # the row after which a comment line sends the rest line by line
+    st.booleans(),  # a PCD header
+    st.integers(1, 120),  # the read block in bytes: one row of many blocks, or a few rows
+    st.integers(1, 5),  # the rows float() reads into one block
+    rotations(), st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), boxes(),
+)
+@example(np.array([[1.5, 1.5, 1.5]]), 1, False, 80, 1,
+         np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 0.0], [0.0, 0.0, -1.0]]), [0.0, 0.0, 0.0], None)
+@example(np.array([[0.25, 0.5, 1.0], [1.5, 1.5, 1.5]]), 1, False, 80, 1,
+         np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 0.0], [0.0, 0.0, -1.0]]), [0.0, 0.0, 0.0], None)
+def test_each_block_transformed_and_cropped_gives_the_bits_of_the_whole_view(
+        points, comment_at, pcd, chunk_bytes, line_rows, rot, translation, roi):
+    # One row alone goes to BLAS gemv, which can round a product other than
+    # gemm does for the same row inside a longer view (the second example:
+    # 1.5 alone and as the last row differ here), so parse_cloud hands keep
+    # blocks of two rows or more, and one row only when it is the whole view.
+    lines = [" ".join(map(repr, row)) for row in points.tolist()]
+    lines.insert(comment_at, "# the rest goes line by line")
+    if pcd:
+        lines = ["VERSION .7", "FIELDS x y z", f"POINTS {len(points)}", "DATA ascii", *lines]
+    data = "".join(line + "\n" for line in lines).encode()
+    pose = pose_of(rot, translation)
+    whole = transform_cloud(parse_cloud(data), pose)
+    want = whole if roi is None else crop_cloud(whole, roi)
+    with mock.patch.object(perception, "_JSON_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(perception, "_LINE_ROWS", line_rows):
+        got = parse_cloud(data, keeper(pose, roi))
+    assert got.frame_id == want.frame_id == perception.GLOBAL_FRAME
+    assert got.points.shape == want.points.shape
+    assert got.points.tobytes() == want.points.tobytes()
+
+
+PCD_OF_THREE = "VERSION .7\nFIELDS x y z\nPOINTS {}\nDATA ascii\n0 0 0\n5 5 5\n0.5 0.5 0.5\n"
+
+
+def test_points_counts_the_records_parsed_not_those_kept():
+    keep = keeper(ScenePose.identity(), Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))
+    assert parse_cloud(PCD_OF_THREE.format(3), keep).points.tolist() == [[0, 0, 0], [0.5] * 3]
+    for cloud_keep in (None, keep):
+        with pytest.raises(ParseError) as err:
+            parse_cloud(PCD_OF_THREE.format(4), cloud_keep)
+        assert (str(err.value), err.value.line) == (
+            "POINTS declares 4 records but data has 3 (line 3)", 3)
 
 
 @pytest.mark.parametrize("text", ["1_0 2 3", "١٢ 2 3", "１ 2.5 3"])

@@ -150,18 +150,31 @@ def scene(tmp_path_factory):
     return work / "manifest.json"
 
 
+ROI = "--roi=-0.06,-0.06,-0.07,0.06,0.06,0.07"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, from the child's own exec")
+def test_estimate_holds_each_view_only_as_its_kept_points(tmp_path, scene):
+    # Each block is transformed and cropped as it is parsed, so a view is held
+    # only as its 90k kept points (2.1 MB), ~14.6-14.7 MiB above the import
+    # with the OpenBLAS buffers.  Transforming and cropping each whole view
+    # read ~17.3 MiB, and a reference cycle that kept each view's array until
+    # the garbage collector ran ~21 MiB.
+    assert added_peak_kib(tmp_path, "estimate", "--manifest", str(scene), ROI) < 16 * 1024
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmSize from /proc/self/status")
 @pytest.mark.parametrize("extra_mib", [80, 120])
 def test_estimate_of_three_large_views_fits_a_capped_address_space(tmp_path, scene, extra_mib):
-    # Each view's array and the merged one double in place as they fill and
-    # are trimmed to their points: about 59 MiB above the import here, where
+    # Each view's kept points and the merged array double in place as they
+    # fill and are trimmed to their points: about 56 MiB above the import here
+    # (58 MiB when each view was transformed and cropped whole), where
     # mapping a record per 6 bytes of each file (four times the file) took
     # 135 MiB and ended in an OSError.  One OpenBLAS thread, so that the cap
     # does not depend on the host's CPUs.
     proc = subprocess.run(
         [sys.executable, "-c", ADDRESS_SPACE_CAPPED, SRC, str(extra_mib), "estimate",
-         "--manifest", str(scene), "--roi=-0.06,-0.06,-0.07,0.06,0.06,0.07",
-         "--out", str(tmp_path / "run")],
+         "--manifest", str(scene), ROI, "--out", str(tmp_path / "run")],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
