@@ -13,10 +13,10 @@ error that ended the run (see softgrip.errors).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -72,7 +72,12 @@ class RunConfig:
 
 
 class RunDir:
-    """Reads the inputs and writes the artifacts and provenance of one invocation."""
+    """Reads the inputs and writes the artifacts and provenance of one invocation.
+
+    Entered around the command, it stages every artifact in a plain mkdir
+    (so with the umask's mode) in a hidden ``.NAME.XXXX`` directory in
+    --out's nearest existing ancestor, on its filesystem; finalize renames
+    the stage onto --out, and on exit whatever was not published goes."""
 
     def __init__(self, args):
         if not args.out:  # Path("") is the working directory
@@ -84,66 +89,67 @@ class RunDir:
         self.inputs: dict = {}  # path -> sha256 of the bytes read
         self.outputs: list[str] = []
 
+    def __enter__(self) -> RunDir:
+        try:  # a hidden directory made before a failure goes with its finalizer
+            self._hidden = tempfile.TemporaryDirectory(
+                prefix=f".{self.path.name}.", ignore_cleanup_errors=True,
+                dir=next((path for path in self.path.parents if path.exists()), self.path.parent))
+            self.stage = Path(self._hidden.name, "run")
+            self.stage.mkdir()
+        except OSError as exc:
+            raise self._cannot_write(exc) from exc
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._hidden.cleanup()
+
     def open_input(self, path) -> HashingReader:
         """Open an input file, whose hash is recorded from the bytes read."""
         reader = HashingReader(path)
         self.inputs[str(path)] = reader.sha256
         return reader
 
-    def record_input(self, path) -> bytes:
-        """Read an input file, record its hash and return the bytes hashed."""
-        with self.open_input(path) as reader:
-            return reader.read()
-
     def read_json(self, path):
         """Read a JSON input once: hash its bytes and decode the same bytes."""
-        return decode_json(self.record_input(path), path)
+        with self.open_input(path) as reader:
+            return decode_json(reader.read(), path)
 
     def write(self, name: str, fill: Callable[[IO[str]], object]) -> Path:
-        """Write one artifact by streaming ``fill(stream)`` into its file; the
-        directory appears with the first of them, once the parameters are
-        known to fit the run manifest.  A write that fails or is interrupted
-        leaves neither its file nor the directories it made."""
-        if not self.outputs:
-            self._json_text("run_manifest.json", self.parameters)
-        target = self.path / name
-        made = [path for path in (self.path, *self.path.parents) if not path.exists()]
-        opened = False
+        """Stage one artifact, streamed by ``fill(stream)``; return its published path."""
         try:
-            self.path.mkdir(parents=True, exist_ok=True)
-            with target.open("w", encoding="utf-8") as stream:
-                opened = True
+            with (self.stage / name).open("w", encoding="utf-8") as stream:
                 fill(stream)
-        except BaseException as exc:
-            with contextlib.suppress(OSError):
-                if opened:
-                    target.unlink()
-                for path in made:  # the run directory, then any parent it needed
-                    path.rmdir()
-            if isinstance(exc, OSError):
-                raise ConfigError(f"cannot write {target}: {exc}") from exc
-            raise
+        except OSError as exc:
+            raise self._cannot_write(exc, name) from exc
         self.outputs.append(name)
-        return target
-
-    def _json_text(self, name: str, payload: dict) -> str:
-        try:
-            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        except ValueError as exc:  # NaN or infinity, which JSON cannot hold
-            raise ConfigError(f"cannot write {self.path / name}: {exc}") from exc
+        return self.path / name
 
     def write_json(self, name: str, payload: dict) -> Path:
-        text = self._json_text(name, payload)
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:  # NaN or infinity, which JSON cannot hold
+            raise ConfigError(f"cannot write {self.path / name}: {exc}") from exc
         return self.write(name, lambda stream: stream.write(text))
 
     def finalize(self) -> None:
-        manifest = {
+        """Stage the run manifest and rename the stage onto --out, which
+        os.replace refuses when it is a file or a non-empty directory."""
+        self.write_json("run_manifest.json", {
             "command": self.command,
             "parameters": self.parameters,
             "inputs": {path: sha.hexdigest() for path, sha in sorted(self.inputs.items())},
             "outputs": sorted(self.outputs),
-        }
-        self.write_json("run_manifest.json", manifest)
+        })
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(self.stage, self.path)
+        except OSError as exc:
+            raise self._cannot_write(exc) from exc
+
+    def _cannot_write(self, exc: OSError, name: str = "") -> ConfigError:
+        """The error of a failed write, naming --out and never the stage."""
+        reason = exc if exc.filename is None else OSError(exc.errno, exc.strerror)
+        return ConfigError(f"cannot write {self.path / name}: {reason}")
 
 
 def _load_model(args, cfg: RunConfig, run: RunDir, key: str, parse, default):
@@ -407,22 +413,19 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():  # restores the caller's warning display
         warnings.showwarning = _print_warning
         try:
-            run = RunDir(args)
-            cfg = (RunConfig() if args.config is None else
-                   from_dict(RunConfig, run.read_json(args.config), f"run config {args.config}"))
-            geom = _load_model(args, cfg, run, "geometry", partial(from_dict, GripperGeometry),
-                               default_geometry)
-            args.func(args, cfg, run, geom)
-        except SoftgripError as exc:
-            print(f"softgrip: {exc}", file=sys.stderr)
-            return exc.exit_code
-        except MemoryError as exc:  # numpy's, or a mapping's (perception._Rows)
-            error = ResourceError("out of memory" + (f": {exc}" if str(exc) else ""))
+            with RunDir(args) as run:
+                raw = {} if args.config is None else run.read_json(args.config)
+                cfg = from_dict(RunConfig, raw, f"run config {args.config}")
+                geom = _load_model(args, cfg, run, "geometry",
+                                   partial(from_dict, GripperGeometry), default_geometry)
+                args.func(args, cfg, run, geom)
+        except (SoftgripError, MemoryError) as exc:  # MemoryError: numpy's, or a mapping's
+            error = exc if isinstance(exc, SoftgripError) else ResourceError(
+                "out of memory" + (f": {exc}" if str(exc) else ""))
             print(f"softgrip: {error}", file=sys.stderr)
             return error.exit_code
         except KeyboardInterrupt:

@@ -281,10 +281,6 @@ class Sweep:
             theta[-1] = self.theta_to
         return theta
 
-    def last_chunk(self) -> np.ndarray:
-        """The chunk that chunks() ends with, made alone."""
-        return self._block((self.rows - 1) // CSV_CHUNK_ROWS * CSV_CHUNK_ROWS, self.rows)
-
     def chunks(self) -> Iterator[np.ndarray]:
         rows, before = CSV_CHUNK_ROWS, None
         for lo in range(0, self.rows, rows):

@@ -218,9 +218,9 @@ def simulate_slide(geom: GripperGeometry, cfg: SlideConfig) -> SlideTrace:
     check_domain(geom, trajectory)
     surface = cfg.surface_y_mm
     if surface is None:
-        # The last sample is theta_to exactly, so its tip height is the
-        # default surface: from the last chunk, as the trace will make it.
-        surface = float(tip_height(geom, trajectory.last_chunk())[-1])
+        # The last sample is theta_to exactly, and the chain is elementwise,
+        # so this is the tip height the trace ends with.
+        surface = float(tip_height(geom, np.array([cfg.theta_to]))[0])
     outcome: dict = {}
     return SlideTrace(len(trajectory), partial(_slide_chunks, geom, cfg, trajectory, surface,
                                                outcome), surface, outcome)

@@ -23,7 +23,7 @@ from softgrip import (
     uniform_box_noise,
     write_cloud_xyz,
 )
-from softgrip import geometry, perception
+from softgrip import geometry, perception, planning
 from softgrip.cli import main
 from softgrip.perception import PointCloud, ScenePose
 
@@ -187,6 +187,93 @@ def test_a_trace_write_that_fails_partway_leaves_no_run_directory(tmp_path):
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"softgrip: cannot write {out / 'fk_trace.csv'}: [Errno 27] ")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the run directory is published whole, or not at all
+# ---------------------------------------------------------------------------
+
+def _staged_beside(out):
+    """Entries a run stages beside --out, which no finished run leaves."""
+    return sorted(path.name for path in out.parent.glob(f".{out.name}.*"))
+
+
+def test_a_second_command_into_a_run_directory_is_refused_and_leaves_it_whole(
+        tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("fk", "--theta", -0.8, "--out", out) == 0
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert run_cli("simulate-slide", "--step", 0.01, "--out", out) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"softgrip: cannot write {out}: ")
+    assert _tree_bytes(out) == before
+    assert json.loads((out / "run_manifest.json").read_text())["outputs"] == ["fk_trace.csv"]
+    assert _staged_beside(out) == []
+
+
+def _interrupted(error):
+    def to_dict(self):
+        raise error
+    return to_dict
+
+
+@pytest.mark.parametrize("error, code", [(KeyboardInterrupt, 130), (MemoryError, 7)])
+def test_a_plan_stopped_after_its_csv_leaves_no_run_directory(tmp_path, monkeypatch, capsys,
+                                                             error, code):
+    monkeypatch.setattr(planning.GraspPlan, "to_dict", _interrupted(error))
+    written = []
+    monkeypatch.setattr("softgrip.cli.write_plan_csv",
+                        lambda plan, stream: written.append(planning.write_plan_csv(plan, stream)))
+    out = tmp_path / "out"
+    assert run_cli(*_plan(ENVELOPE, "--mass", 0.1)(tmp_path), "--out", out) == code
+    assert len(written) == 1  # the CSV was staged before plan.json failed
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+    assert _staged_beside(out) == []
+
+
+def test_a_published_run_directory_has_the_mode_of_a_fresh_mkdir(tmp_path):
+    out, fresh = tmp_path / "new" / "run", tmp_path / "fresh"
+    old = os.umask(0o027)  # no default umask, so that a fixed mode would show
+    try:
+        assert run_cli("fk", "--theta", -0.8, "--out", out) == 0
+        fresh.mkdir()
+    finally:
+        os.umask(old)
+    mode = fresh.stat().st_mode & 0o7777
+    assert out.stat().st_mode & 0o7777 == out.parent.stat().st_mode & 0o7777 == mode
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fresh", "new"]
+
+
+def test_an_existing_empty_out_is_accepted(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run_cli("fk", "--theta", -0.8, "--out", out) == 0
+    assert capsys.readouterr().out == f"fk: wrote 1 rows to {out / 'fk_trace.csv'}\n"
+    assert sorted(path.name for path in out.iterdir()) == ["fk_trace.csv", "run_manifest.json"]
+    assert _staged_beside(out) == []
+
+
+def test_a_stage_that_cannot_be_made_exits_2_without_naming_it(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+
+    def refused(prefix, dir, **kwargs):
+        raise PermissionError(13, "Permission denied", os.path.join(dir, prefix + "x1y2"))
+
+    monkeypatch.setattr("softgrip.cli.tempfile.TemporaryDirectory", refused)
+    assert run_cli("fk", "--theta", -0.8, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == f"softgrip: cannot write {out}: [Errno 13] Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_stage_under_a_file_exits_2_without_naming_it(tmp_path, capsys):
+    (tmp_path / "taken").write_text("kept\n")
+    out = tmp_path / "taken" / "run"
+    assert run_cli("fk", "--theta", -0.8, "--out", out) == 2
+    assert capsys.readouterr().err == f"softgrip: cannot write {out}: [Errno 20] Not a directory\n"
+    assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 def test_fk_conflicting_arguments_exit_2(tmp_path):

@@ -140,6 +140,12 @@ def test_main_returns_a_documented_exit_code(args, config, cloud, pose, out_is_a
             (work / "config.json").write_text(json.dumps(config))
             prefix = ["--config", str(work / "config.json")]
         rc = main(prefix + [a.replace(WORK, tmp) for a in args] + ["--out", str(out)])
+        # A run is published whole or not at all, and never over a file.
+        if rc not in (0, 6):
+            assert not out.is_dir(), rc
+        if out_is_a_file:
+            assert out.read_text() == "taken"
+        assert list(work.glob(".out.*")) == []
     assert rc in EXIT_CODES
 
 

@@ -34,14 +34,18 @@ generated, because Linux carries the spawning process's peak RSS into a
 child's ``ru_maxrss`` at exec.
 Printed per case and side: the median wall time of the child and the
 median of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Both sides must
-write the same estimate.json, or for the malformed cases exit 2 with the
-same stderr.  The worktree and the scenes are removed at the end.
+write the same estimate.json into a run directory with the same mode bits,
+or for the malformed cases exit 2 with the same stderr and no run
+directory; no run may leave a ``.OUT.*`` staging entry beside its run
+directory, which is removed after each run.  The worktree and the scenes
+are removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -127,7 +131,8 @@ def write_scene(folder: Path, n_points: int, n_views: int, seed: int,
 def run_estimate(launcher: Launcher, tree: Path, manifest: Path, out: Path,
                  rc: int) -> tuple[float, float, bytes]:
     """Wall seconds, peak RSS (MB) and output of one fresh estimate process
-    that must exit ``rc``: its estimate.json on 0, else its stderr."""
+    that must exit ``rc``: the mode bits of ``out`` (or "none") and its
+    estimate.json on 0, else its stderr; ``out`` is removed again."""
     argv = [sys.executable, "-c", CLI_CODE, str(tree / "src"), "estimate", "--manifest",
             str(manifest), "--roi=" + ",".join(map(repr, ROI)), "--out", str(out)]
     stderr = out.with_suffix(".stderr")
@@ -135,8 +140,13 @@ def run_estimate(launcher: Launcher, tree: Path, manifest: Path, out: Path,
     if reply["rc"] != rc:
         raise SystemExit(f"{tree}: estimate exited {reply['rc']}, not {rc}, on {manifest}: "
                          f"{stderr.read_text()[-300:]}")
-    output = out / "estimate.json" if rc == 0 else stderr
-    return reply["wall"], reply["maxrss_kb"] / 1024, output.read_bytes()
+    staged = sorted(path.name for path in out.parent.glob(f".{out.name}.*"))
+    if staged:
+        raise SystemExit(f"{tree}: estimate left {staged} beside {out}")
+    mode = b"%o" % (out.stat().st_mode & 0o7777) if out.exists() else b"none"
+    output = mode + b"\0" + (out / "estimate.json" if rc == 0 else stderr).read_bytes()
+    shutil.rmtree(out, ignore_errors=True)
+    return reply["wall"], reply["maxrss_kb"] / 1024, output
 
 
 def main(argv=None) -> int:

@@ -22,10 +22,11 @@ bench/launcher.py, so that ``ru_maxrss`` is the child's own.
 Printed per case and side: the median wall time of the child and the median
 of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Every run of a case, on
 both sides, must write the same files with the same bytes: the CSV,
-``slide_summary.json``, ``plan.json`` and ``run_manifest.json``.  Files are
-hashed a MiB at a time, and each run directory is removed once its files
-are hashed, so that the disk holds one run's files at a time; the worktree
-is removed at the end.
+``slide_summary.json``, ``plan.json`` and ``run_manifest.json``, in a run
+directory with the same mode bits, and leave no ``.OUT.*`` staging entry
+beside it.  Files are hashed a MiB at a time, and each run directory is
+removed once its files are hashed, so that the disk holds one run's files
+at a time; the worktree is removed at the end.
 """
 
 from __future__ import annotations
@@ -59,16 +60,19 @@ ESTIMATE = {"estimate": {"centroid_m": [0.0, 0.0, 0.1], "extents_m": [0.08, 0.08
 
 def run_case(launcher: Launcher, tree: Path, args: list[str],
              out: Path) -> tuple[float, float, str]:
-    """Wall seconds, peak RSS (MB) and the sha256 of every file's name and
-    bytes in the run directory ``out`` of one fresh process, after which
-    ``out`` is removed again."""
+    """Wall seconds, peak RSS (MB) and the sha256 of the mode bits of the run
+    directory ``out`` of one fresh process and of every file's name and
+    bytes in it, after which ``out`` is removed again."""
     argv = [sys.executable, "-c", CLI_CODE, str(tree / "src"), *args, "--out", str(out)]
     stderr = out.with_suffix(".stderr")
     reply = launcher.run(argv, out.parent, stderr)
     if reply["rc"] != 0:
         raise SystemExit(f"{tree}: {' '.join(args)} exited {reply['rc']}: "
                          f"{stderr.read_text()[-300:]}")
-    digest = hashlib.sha256()
+    staged = sorted(path.name for path in out.parent.glob(f".{out.name}.*"))
+    if staged:
+        raise SystemExit(f"{tree}: {' '.join(args)} left {staged} beside {out}")
+    digest = hashlib.sha256(b"%o\0" % (out.stat().st_mode & 0o7777))
     for path in sorted(out.iterdir()):
         digest.update(b"%s\0%d\0" % (path.name.encode(), path.stat().st_size))
         with path.open("rb") as stream:
