@@ -13,8 +13,10 @@ error that ended the run (see softgrip.errors).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 import tempfile
 import warnings
@@ -77,7 +79,9 @@ class RunDir:
     Entered around the command, it stages every artifact in a plain mkdir
     (so with the umask's mode) in a hidden ``.NAME.XXXX`` directory in
     --out's nearest existing ancestor, on its filesystem; finalize renames
-    the stage onto --out, and on exit whatever was not published goes."""
+    the stage onto --out, and on exit whatever was not published goes.
+    An --out that is a file or a non-empty directory is refused on entry,
+    before the command's work."""
 
     def __init__(self, args):
         if not args.out:  # Path("") is the working directory
@@ -91,6 +95,7 @@ class RunDir:
 
     def __enter__(self) -> RunDir:
         try:  # a hidden directory made before a failure goes with its finalizer
+            self._refuse_taken_out()
             self._hidden = tempfile.TemporaryDirectory(
                 prefix=f".{self.path.name}.", ignore_cleanup_errors=True,
                 dir=next((path for path in self.path.parents if path.exists()), self.path.parent))
@@ -102,6 +107,19 @@ class RunDir:
 
     def __exit__(self, *exc_info) -> None:
         self._hidden.cleanup()
+
+    def _refuse_taken_out(self) -> None:
+        """Raise the error finalize's os.replace gives for an --out that is not
+        a directory or not empty."""
+        try:
+            is_dir = stat.S_ISDIR(os.lstat(self.path).st_mode)
+        except FileNotFoundError:
+            return
+        if not is_dir:
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        with os.scandir(self.path) as entries:
+            if next(entries, None) is not None:
+                raise OSError(errno.ENOTEMPTY, os.strerror(errno.ENOTEMPTY))
 
     def open_input(self, path) -> HashingReader:
         """Open an input file, whose hash is recorded from the bytes read."""
@@ -133,7 +151,8 @@ class RunDir:
 
     def finalize(self) -> None:
         """Stage the run manifest and rename the stage onto --out, which
-        os.replace refuses when it is a file or a non-empty directory."""
+        os.replace refuses if it became a file or a non-empty directory
+        during the run."""
         self.write_json("run_manifest.json", {
             "command": self.command,
             "parameters": self.parameters,

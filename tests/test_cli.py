@@ -155,12 +155,74 @@ def test_a_write_that_stops_midway_leaves_no_run_directory(tmp_path, monkeypatch
 
 
 def test_a_write_that_stops_midway_keeps_a_directory_it_did_not_make(tmp_path, monkeypatch):
-    monkeypatch.setattr(geometry, "write_fk_trace_csv", _stops_midway(KeyboardInterrupt))
+    # --out is empty when the run starts, as a non-empty one is refused
+    # before any work, and fills while the trace is written.
     out = tmp_path / "run"
     out.mkdir()
-    (out / "notes.txt").write_text("kept\n")
+
+    def fill_and_stop(trace, stream):
+        (out / "notes.txt").write_text("kept\n")
+        _stops_midway(KeyboardInterrupt)(trace, stream)
+
+    monkeypatch.setattr(geometry, "write_fk_trace_csv", fill_and_stop)
     assert run_cli("fk", "--from", -0.8, "--to", -1.4, "--out", out) == 130
     assert [path.name for path in out.iterdir()] == ["notes.txt"]
+
+
+NOT_EMPTY = "[Errno 39] Directory not empty"  # os.replace's refusal of a non-empty --out
+
+
+def _never_called(*args):
+    raise AssertionError("the trace writer was reached")
+
+
+def _everything_under(root):
+    """Each path under root, with its bytes if it is a file."""
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+def _non_empty_directory(out):
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+
+
+@pytest.mark.parametrize("take, refusal", [
+    (_non_empty_directory, NOT_EMPTY),
+    (lambda out: out.write_text("kept\n"), "[Errno 20] Not a directory"),
+], ids=["non-empty directory", "file"])
+def test_a_taken_out_is_refused_before_the_work(tmp_path, monkeypatch, capsys, take, refusal):
+    monkeypatch.setattr(geometry, "write_fk_trace_csv", _never_called)
+    out = tmp_path / "run"
+    take(out)
+    before = _everything_under(tmp_path)
+    assert run_cli("fk", "--from", -0.8, "--to", -1.4, "--step", 1e-6, "--out", out) == 2
+    assert capsys.readouterr().err == f"softgrip: cannot write {out}: {refusal}\n"
+    assert _everything_under(tmp_path) == before
+
+
+def test_a_taken_out_is_named_before_a_bad_input(tmp_path, capsys):
+    out = tmp_path / "run"
+    _non_empty_directory(out)
+    assert run_cli("fk", "--theta", -0.8, "--geometry", tmp_path / "missing.json",
+                   "--out", out) == 2
+    assert capsys.readouterr().err == f"softgrip: cannot write {out}: {NOT_EMPTY}\n"
+
+
+def test_a_directory_that_fills_during_the_run_is_refused_at_publish(tmp_path, monkeypatch,
+                                                                    capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    write = geometry.write_fk_trace_csv
+
+    def fill_and_write(trace, stream):
+        (out / "notes.txt").write_text("kept\n")
+        return write(trace, stream)
+
+    monkeypatch.setattr(geometry, "write_fk_trace_csv", fill_and_write)
+    assert run_cli("fk", "--theta", -0.8, "--out", out) == 2
+    assert capsys.readouterr().err == f"softgrip: cannot write {out}: {NOT_EMPTY}\n"
+    assert [path.name for path in out.iterdir()] == ["notes.txt"]
+    assert _staged_beside(out) == []
 
 
 # Runs main in a child whose files may grow to argv[1] bytes.  SIGXFSZ is

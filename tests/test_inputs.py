@@ -1,7 +1,10 @@
-"""The typed dict-to-dataclass conversion behind every config block."""
+"""The input boundary: the hashing reader and the typed dict-to-dataclass
+conversion behind every config block."""
 
+import hashlib
 import json
 import math
+import random
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -12,7 +15,19 @@ import pytest
 
 import softgrip
 from softgrip import Box, ConfigError, ParseError, SlideConfig, load_capacity_model
-from softgrip.inputs import from_dict
+from softgrip.inputs import HashingReader, from_dict
+
+
+@pytest.mark.parametrize("size, builtin", [(0, True), (1 << 20, True), ((1 << 20) + 1, False)])
+def test_hashing_reader_digests_as_hashlib_on_either_side_of_a_mib(tmp_path, size, builtin):
+    # Up to 1 MiB CPython's built-in SHA-256, past it hashlib's (OpenSSL).
+    data = random.Random(size).randbytes(size)
+    (tmp_path / "input").write_bytes(data)
+    with HashingReader(tmp_path / "input") as reader:
+        while reader.read(1 << 17):
+            pass
+    assert reader.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert (type(reader.sha256) is not type(hashlib.sha256())) == builtin
 
 
 @pytest.mark.parametrize("cls, raw, named", [

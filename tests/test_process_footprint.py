@@ -50,12 +50,59 @@ def test_a_run_that_reads_no_input_never_loads_openssl(tmp_path, args):
 
 @pytest.mark.parametrize("args", KINEMATICS, ids=lambda args: args[0])
 def test_a_geometry_file_is_still_hashed_into_the_run_manifest(tmp_path, args):
+    # A file of at most 1 MiB is hashed by CPython's built-in SHA-256.
     geometry = tmp_path / "geometry.json"
     geometry.write_bytes(resources.files("softgrip.data").joinpath("geometry_default.json")
                          .read_bytes())
-    assert "_hashlib" in modules_after(*args, "--geometry", geometry, "--out", tmp_path / "run")
+    assert "_hashlib" not in modules_after(*args, "--geometry", geometry,
+                                           "--out", tmp_path / "run")
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     assert manifest["inputs"] == {str(geometry): hashlib.sha256(geometry.read_bytes()).hexdigest()}
+
+
+def test_a_plan_never_loads_openssl(tmp_path):
+    estimate = tmp_path / "estimate.json"
+    estimate.write_text(json.dumps({"estimate": {
+        "centroid_m": [0.0, 0.0, 0.1], "extents_m": [0.08, 0.08, 0.12],
+        "point_count": 5000, "dominant_axis": "Z"}}))
+    assert "_hashlib" not in modules_after("plan", "--estimate", estimate, "--mass", "0.1",
+                                           "--out", tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {str(estimate): hashlib.sha256(estimate.read_bytes()).hexdigest()}
+
+
+def test_a_view_over_a_mib_is_hashed_by_openssl(tmp_path):
+    view = tmp_path / "view.xyz"
+    write_view(view, make_cylinder(0.05, 0.1, 40_000, seed=1).points)
+    assert view.stat().st_size > 1 << 20
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"views": [{"cloud": "view.xyz",
+                                            "transform": np.eye(4).ravel().tolist()}]}))
+    assert "_hashlib" in modules_after("estimate", "--manifest", scene, "--out", tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+                                  for path in (scene, view)}
+
+
+# Reads argv[2] through HashingReader in a child that has neither built-in
+# SHA-256 module, and prints its digest and whether OpenSSL's _hashlib loaded.
+WITHOUT_BUILTIN_SHA256 = """
+import sys
+sys.path.insert(0, sys.argv[1])
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from softgrip.inputs import HashingReader
+with HashingReader(sys.argv[2]) as reader:
+    reader.read()
+print(reader.sha256.hexdigest(), "_hashlib" in sys.modules)
+"""
+
+
+def test_a_build_without_the_builtin_sha256_hashes_a_small_file_with_hashlib(tmp_path):
+    small = tmp_path / "small.json"
+    small.write_text('{"a": 1}\n')
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_BUILTIN_SHA256, SRC, str(small)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [hashlib.sha256(small.read_bytes()).hexdigest(), "True"]
 
 
 def test_estimate_never_imports_numpy_ma(tmp_path):

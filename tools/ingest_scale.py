@@ -34,11 +34,13 @@ generated, because Linux carries the spawning process's peak RSS into a
 child's ``ru_maxrss`` at exec.
 Printed per case and side: the median wall time of the child and the
 median of its peak RSS (``ru_maxrss`` from ``os.wait4``).  Both sides must
-write the same estimate.json into a run directory with the same mode bits,
-or for the malformed cases exit 2 with the same stderr and no run
-directory; no run may leave a ``.OUT.*`` staging entry beside its run
-directory, which is removed after each run.  The worktree and the scenes
-are removed at the end.
+write the same estimate.json and run_manifest.json into a run directory
+with the same mode bits, or for the malformed cases exit 2 with the same
+stderr and no run directory.  The manifest holds the sha256 of each input:
+the 10k views are hashed by CPython's built-in SHA-256 and the 200k and 1M
+views, each over 1 MiB, by OpenSSL's.  No run may leave a ``.OUT.*``
+staging entry beside its run directory, which is removed after each run.
+The worktree and the scenes are removed at the end.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ def run_estimate(launcher: Launcher, tree: Path, manifest: Path, out: Path,
                  rc: int) -> tuple[float, float, bytes]:
     """Wall seconds, peak RSS (MB) and output of one fresh estimate process
     that must exit ``rc``: the mode bits of ``out`` (or "none") and its
-    estimate.json on 0, else its stderr; ``out`` is removed again."""
+    estimate.json and run_manifest.json on 0, else its stderr; ``out`` is
+    removed again."""
     argv = [sys.executable, "-c", CLI_CODE, str(tree / "src"), "estimate", "--manifest",
             str(manifest), "--roi=" + ",".join(map(repr, ROI)), "--out", str(out)]
     stderr = out.with_suffix(".stderr")
@@ -144,7 +147,8 @@ def run_estimate(launcher: Launcher, tree: Path, manifest: Path, out: Path,
     if staged:
         raise SystemExit(f"{tree}: estimate left {staged} beside {out}")
     mode = b"%o" % (out.stat().st_mode & 0o7777) if out.exists() else b"none"
-    output = mode + b"\0" + (out / "estimate.json" if rc == 0 else stderr).read_bytes()
+    files = [out / "estimate.json", out / "run_manifest.json"] if rc == 0 else [stderr]
+    output = b"\0".join([mode, *(path.read_bytes() for path in files)])
     shutil.rmtree(out, ignore_errors=True)
     return reply["wall"], reply["maxrss_kb"] / 1024, output
 
@@ -176,7 +180,9 @@ def main(argv=None) -> int:
             rows.append((case, runs, same))
             print(f"{case}: done", file=sys.stderr)
 
-    return 0 if print_medians(rows, args.base, "points x views", "estimate.json or stderr") else 1
+    same = print_medians(rows, args.base, "points x views",
+                         "estimate.json, run_manifest.json or stderr")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
